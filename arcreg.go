@@ -2,21 +2,9 @@ package arcreg
 
 import (
 	"arcreg/internal/arc"
-	"arcreg/internal/leftright"
-	"arcreg/internal/lockreg"
-	"arcreg/internal/peterson"
 	"arcreg/internal/register"
 	"arcreg/internal/rf"
-	"arcreg/internal/seqlock"
 )
-
-// Config parametrizes register construction.
-//
-// MaxReaders is N, the number of reader handles that may be live at once.
-// MaxValueSize bounds the values Write accepts (buffers are pre-allocated
-// at this size; it defaults to 4096). Initial optionally sets the value
-// readers see before the first write.
-type Config = register.Config
 
 // Register is a multi-word atomic (1,N) register: one writer endpoint and
 // up to MaxReaders concurrent reader handles.
@@ -35,30 +23,16 @@ type Reader = register.Reader
 type Viewer = register.Viewer
 
 // ReadStats counts per-handle read work (operations, RMW instructions,
-// fast-path hits); see StatReader. Its Snapshot method renders the
-// counters as a node of the Stats observability tree (see Reg.Stats).
+// fast-path hits); see TypedReader.ReadStats. Its Snapshot method
+// renders the counters as a node of the Stats observability tree (see
+// Reg.Stats).
 type ReadStats = register.ReadStats
 
 // WriteStats counts writer work (operations, RMW instructions, slot-scan
-// probes, hint hits); see StatWriter. Its Snapshot method renders the
-// counters as a node of the Stats observability tree (see Reg.Stats).
+// probes, hint hits); see TypedWriter.WriteStats. Its Snapshot method
+// renders the counters as a node of the Stats observability tree (see
+// Reg.Stats).
 type WriteStats = register.WriteStats
-
-// StatReader is implemented by reader handles exposing ReadStats.
-//
-// Deprecated: the New facade resolves capabilities at construction —
-// use TypedReader.ReadStats (and Reg.Caps().ReadStats) instead of
-// asserting byte handles; use Reg.Stats for the live observability
-// tree. StatReader remains for raw-register code.
-type StatReader = register.StatReader
-
-// StatWriter is implemented by writers exposing WriteStats.
-//
-// Deprecated: the New facade resolves capabilities at construction —
-// use TypedWriter.WriteStats (and Reg.Caps().WriteStats) instead of
-// asserting byte handles; use Reg.Stats for the live observability
-// tree. StatWriter remains for raw-register code.
-type StatWriter = register.StatWriter
 
 // Errors returned by register operations.
 var (
@@ -112,91 +86,8 @@ func WithDynamicBuffers() ARCOption {
 	return func(o *arc.Options) { o.DynamicBuffers = true }
 }
 
-// NewARC constructs an Anonymous Readers Counting register — the paper's
-// algorithm. Reads are wait-free and constant-time (zero RMW instructions
-// when the value is unchanged); writes are wait-free and amortized
-// constant-time; values are copied exactly once per write and never on
-// read (views alias the internal slot).
-func NewARC(cfg Config, opts ...ARCOption) (Register, error) {
-	var o arc.Options
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return arc.New(cfg, o)
-}
-
-// NewRF constructs a Readers-Field register (Larsson et al., JEA 2009) —
-// the closest RMW-based prior work. Wait-free; one RMW per read; at most
-// 58 readers; O(N) writes.
-func NewRF(cfg Config) (Register, error) { return rf.New(cfg) }
-
-// NewPeterson constructs a Peterson-style register (TOPLAS 1983) built
-// purely from single-word atomic reads and writes. Wait-free with zero
-// RMW instructions, at the cost of up to three value copies per read and
-// per-reader copy-outs on write.
-func NewPeterson(cfg Config) (Register, error) { return peterson.New(cfg) }
-
-// NewLocked constructs a reader/writer-spinlock register. Linearizable
-// but not wait-free — the comparator the paper uses to show what lock
-// preemption costs on virtualized and oversubscribed hosts.
-func NewLocked(cfg Config) (Register, error) { return lockreg.New(cfg) }
-
-// NewSeqlock constructs a sequence-lock register (the Linux-kernel
-// seqcount pattern) — an extension baseline beyond the paper. Writes are
-// wait-free and use a single buffer; reads are only lock-free: they retry
-// without bound while a write is in flight, so a preempted writer stalls
-// every reader.
-func NewSeqlock(cfg Config) (Register, error) { return seqlock.New(cfg) }
-
-// NewLeftRight constructs a Left-Right register (Ramalhete & Correia,
-// 2013) — an extension baseline beyond the paper. Reads are wait-free
-// with zero-copy views and only two value instances exist, but writes
-// block until reader versions drain, so a stalled reader stalls the
-// writer (ARC avoids exactly this with its N+2 slots).
-func NewLeftRight(cfg Config) (Register, error) { return leftright.New(cfg) }
-
-// View returns a zero-copy view of the freshest value if the reader
-// supports it, or (nil, false) otherwise. The view is valid until the
-// handle's next Read, View or Close.
-//
-// Deprecated: the New facade resolves capabilities at construction —
-// use TypedReader.ViewBytes (and Reg.Caps().ZeroCopyView) instead of
-// asserting byte handles. View remains for raw-register code.
-func View(r Reader) ([]byte, bool) {
-	v, ok := r.(Viewer)
-	if !ok {
-		return nil, false
-	}
-	buf, err := v.View()
-	if err != nil {
-		return nil, false
-	}
-	return buf, true
-}
-
 // FreshnessProber is implemented by readers that can report, without
 // performing a read, whether their last-returned value is still current.
 // ARC and RF support it; for ARC the probe is a single atomic load with
 // no RMW instruction.
 type FreshnessProber = register.FreshnessProber
-
-// Fresh reports whether r's last-returned value is still the freshest
-// one. ok is false when the reader cannot answer without a full read.
-// Use it to skip decoding/processing in polling loops:
-//
-//	if fresh, ok := arcreg.Fresh(rd); !ok || !fresh {
-//	    v, _ := rd.Read(buf) // something new (or unknown): actually read
-//	    process(v)
-//	}
-//
-// Deprecated: the New facade resolves capabilities at construction —
-// use TypedReader.Fresh (and Reg.Caps().FreshProbe), or the Values poll
-// iterator, instead of asserting byte handles. Fresh remains for
-// raw-register code.
-func Fresh(r Reader) (fresh, ok bool) {
-	p, ok := r.(FreshnessProber)
-	if !ok {
-		return false, false
-	}
-	return p.Fresh(), true
-}

@@ -1,7 +1,7 @@
 package arcreg_test
 
 // Black-box tests of the public API: everything an importing application
-// can reach must work as documented, across all five constructors.
+// can reach must work as documented, across all six algorithms.
 
 import (
 	"bytes"
@@ -15,26 +15,50 @@ import (
 
 type factory struct {
 	name     string
-	make     func(arcreg.Config) (arcreg.Register, error)
+	alg      arcreg.AlgorithmID
 	hasView  bool
 	waitFree bool
 }
 
 func factories() []factory {
 	return []factory{
-		{"arc", func(c arcreg.Config) (arcreg.Register, error) { return arcreg.NewARC(c) }, true, true},
-		{"rf", arcreg.NewRF, true, true},
-		{"peterson", arcreg.NewPeterson, false, true},
-		{"lock", arcreg.NewLocked, true, false},
-		{"seqlock", arcreg.NewSeqlock, false, false},
-		{"leftright", arcreg.NewLeftRight, true, false},
+		{"arc", arcreg.ARC, true, true},
+		{"rf", arcreg.RF, true, true},
+		{"peterson", arcreg.Peterson, false, true},
+		{"lock", arcreg.Lock, true, false},
+		{"seqlock", arcreg.Seqlock, false, false},
+		{"leftright", arcreg.LeftRight, true, false},
 	}
+}
+
+// newRawRegister is New[[]byte](WithCodec(Raw()), …).Register(): the
+// byte-level (1,N) register, ARC unless opts select another algorithm.
+func newRawRegister(readers, size int, opts ...arcreg.Option) (arcreg.Register, error) {
+	reg, err := arcreg.New[[]byte](append([]arcreg.Option{
+		arcreg.WithCodec(arcreg.Raw()),
+		arcreg.WithReaders(readers),
+		arcreg.WithMaxValueSize(size),
+	}, opts...)...)
+	if err != nil {
+		return nil, err
+	}
+	return reg.Register(), nil
+}
+
+// view returns a zero-copy view when the handle supports one.
+func view(rd arcreg.Reader) ([]byte, bool) {
+	v, ok := rd.(arcreg.Viewer)
+	if !ok {
+		return nil, false
+	}
+	buf, err := v.View()
+	return buf, err == nil
 }
 
 func TestPublicRoundTripAllAlgorithms(t *testing.T) {
 	for _, f := range factories() {
 		t.Run(f.name, func(t *testing.T) {
-			reg, err := f.make(arcreg.Config{MaxReaders: 4, MaxValueSize: 128})
+			reg, err := newRawRegister(4, 128, arcreg.WithAlgorithm(f.alg))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,7 +91,7 @@ func TestPublicRoundTripAllAlgorithms(t *testing.T) {
 
 func TestPublicViewSupport(t *testing.T) {
 	for _, f := range factories() {
-		reg, err := f.make(arcreg.Config{MaxReaders: 2, MaxValueSize: 64})
+		reg, err := newRawRegister(2, 64, arcreg.WithAlgorithm(f.alg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +99,7 @@ func TestPublicViewSupport(t *testing.T) {
 			t.Fatal(err)
 		}
 		rd, _ := reg.NewReader()
-		v, ok := arcreg.View(rd)
+		v, ok := view(rd)
 		if ok != f.hasView {
 			t.Fatalf("%s: View support = %v, want %v", f.name, ok, f.hasView)
 		}
@@ -87,7 +111,7 @@ func TestPublicViewSupport(t *testing.T) {
 }
 
 func TestPublicErrors(t *testing.T) {
-	reg, err := arcreg.NewARC(arcreg.Config{MaxReaders: 1, MaxValueSize: 8})
+	reg, err := newRawRegister(1, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,8 +134,8 @@ func TestPublicErrors(t *testing.T) {
 }
 
 func TestPublicARCOptions(t *testing.T) {
-	reg, err := arcreg.NewARC(arcreg.Config{MaxReaders: 2, MaxValueSize: 32},
-		arcreg.WithoutFastPath(), arcreg.WithoutFreeHint())
+	reg, err := newRawRegister(2, 32,
+		arcreg.WithARC(arcreg.WithoutFastPath(), arcreg.WithoutFreeHint()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,13 +146,12 @@ func TestPublicARCOptions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := rd.(arcreg.StatReader).ReadStats()
+	st := rd.(interface{ ReadStats() arcreg.ReadStats }).ReadStats()
 	if st.FastPath != 0 {
 		t.Fatalf("fast path used despite WithoutFastPath: %d", st.FastPath)
 	}
 
-	static, err := arcreg.NewARC(arcreg.Config{MaxReaders: 1, MaxValueSize: 8},
-		arcreg.WithStaticReaders())
+	static, err := newRawRegister(1, 8, arcreg.WithARC(arcreg.WithStaticReaders()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,17 +166,17 @@ func TestPublicARCOptions(t *testing.T) {
 }
 
 func TestPublicStats(t *testing.T) {
-	reg, _ := arcreg.NewARC(arcreg.Config{MaxReaders: 1, MaxValueSize: 64})
+	reg, _ := newRawRegister(1, 64)
 	rd, _ := reg.NewReader()
 	w := reg.Writer()
 	for i := 0; i < 5; i++ {
 		w.Write([]byte("v"))
 		rd.Read(make([]byte, 64))
 	}
-	if st := rd.(arcreg.StatReader).ReadStats(); st.Ops != 5 {
+	if st := rd.(interface{ ReadStats() arcreg.ReadStats }).ReadStats(); st.Ops != 5 {
 		t.Fatalf("read ops = %d", st.Ops)
 	}
-	if ws := w.(arcreg.StatWriter).WriteStats(); ws.Ops != 5 {
+	if ws := w.(interface{ WriteStats() arcreg.WriteStats }).WriteStats(); ws.Ops != 5 {
 		t.Fatalf("write ops = %d", ws.Ops)
 	}
 }
@@ -165,16 +188,18 @@ func TestPublicLimitsDocumented(t *testing.T) {
 	if arcreg.MaxRFReaders != 58 {
 		t.Fatalf("MaxRFReaders = %d", arcreg.MaxRFReaders)
 	}
-	if _, err := arcreg.NewRF(arcreg.Config{MaxReaders: 59}); err == nil {
+	if _, err := newRawRegister(59, 0, arcreg.WithAlgorithm(arcreg.RF)); err == nil {
 		t.Fatal("RF accepted 59 readers")
 	}
 }
 
 func TestPublicMNRegister(t *testing.T) {
-	reg, err := arcreg.NewMN(arcreg.MNConfig{Writers: 2, Readers: 2, MaxValueSize: 64})
+	r, err := arcreg.New[[]byte](arcreg.WithCodec(arcreg.Raw()),
+		arcreg.WithWriters(2), arcreg.WithReaders(2), arcreg.WithMaxValueSize(64))
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := r.MN()
 	if reg.Writers() != 2 || reg.Readers() != 2 || reg.MaxValueSize() != 64 {
 		t.Fatal("MN accessors wrong")
 	}
@@ -216,7 +241,7 @@ func TestPublicMNRegister(t *testing.T) {
 // The public API under real concurrency: hammer ARC through the facade
 // and check handles behave.
 func TestPublicConcurrentSmoke(t *testing.T) {
-	reg, err := arcreg.NewARC(arcreg.Config{MaxReaders: 4, MaxValueSize: 64})
+	reg, err := newRawRegister(4, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,28 +282,38 @@ func TestPublicConcurrentSmoke(t *testing.T) {
 }
 
 func TestPublicFreshness(t *testing.T) {
-	reg, err := arcreg.NewARC(arcreg.Config{MaxReaders: 1, MaxValueSize: 32})
+	reg, err := newRawRegister(1, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rd, _ := reg.NewReader()
-	if fresh, ok := arcreg.Fresh(rd); !ok || fresh {
+	if fresh, ok := freshness(rd); !ok || fresh {
 		t.Fatalf("unread ARC handle: fresh=%v ok=%v", fresh, ok)
 	}
 	reg.Writer().Write([]byte("v1"))
 	rd.Read(make([]byte, 32))
-	if fresh, ok := arcreg.Fresh(rd); !ok || !fresh {
+	if fresh, ok := freshness(rd); !ok || !fresh {
 		t.Fatalf("after read: fresh=%v ok=%v", fresh, ok)
 	}
 	reg.Writer().Write([]byte("v2"))
-	if fresh, _ := arcreg.Fresh(rd); fresh {
+	if fresh, _ := freshness(rd); fresh {
 		t.Fatal("stale handle reports fresh")
 	}
 
 	// Peterson cannot answer without a read.
-	p, _ := arcreg.NewPeterson(arcreg.Config{MaxReaders: 1, MaxValueSize: 32})
+	p, _ := newRawRegister(1, 32, arcreg.WithAlgorithm(arcreg.Peterson))
 	prd, _ := p.NewReader()
-	if _, ok := arcreg.Fresh(prd); ok {
+	if _, ok := freshness(prd); ok {
 		t.Fatal("Peterson claimed freshness support")
 	}
+}
+
+// freshness probes rd without reading; ok is false when the handle
+// cannot answer.
+func freshness(rd arcreg.Reader) (fresh, ok bool) {
+	p, ok := rd.(arcreg.FreshnessProber)
+	if !ok {
+		return false, false
+	}
+	return p.Fresh(), true
 }

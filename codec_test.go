@@ -155,11 +155,11 @@ func clobberReads[T any](t *testing.T, reg *arcreg.Reg[T], rd *arcreg.TypedReade
 }
 
 // TestCodecDecodeDoesNotAlias pins the documented decode contract for
-// every copying built-in codec (the NewTyped/Codec doc: "dec must not
-// retain its argument: the slice may alias a register slot that is
-// recycled after the decode returns"). The decode happens straight from
-// an ARC slot view; the slot is then recycled under fresh writes; the
-// previously decoded value must be unaffected.
+// every copying built-in codec (the Codec doc: "Decode is handed a
+// slice that may alias a register slot recycled as soon as Decode
+// returns"). The decode happens straight from an ARC slot view; the slot
+// is then recycled under fresh writes; the previously decoded value must
+// be unaffected.
 func TestCodecDecodeDoesNotAlias(t *testing.T) {
 	t.Run("json", func(t *testing.T) {
 		reg, err := arcreg.New[fuzzVal](arcreg.WithReaders(1), arcreg.WithMaxValueSize(256))
@@ -267,16 +267,18 @@ func TestCodecDecodeDoesNotAlias(t *testing.T) {
 		}
 	})
 
-	// The NewTyped contract itself — a func-pair decoder that copies
-	// (like encoding/json) stays intact under recycling.
+	// The custom-codec contract itself — a hand-written decoder that
+	// copies (like encoding/json) stays intact under recycling.
 	t.Run("newtyped-funcs", func(t *testing.T) {
-		raw, err := arcreg.NewARC(arcreg.Config{MaxReaders: 1, MaxValueSize: 64})
+		tr, err := arcreg.New[string](
+			arcreg.WithCodec[string](codecFuncs[string]{
+				enc: func(v string) ([]byte, error) { return []byte(v), nil },
+				dec: func(p []byte) (string, error) { return string(p), nil }, // copies: honors the contract
+			}),
+			arcreg.WithReaders(1), arcreg.WithMaxValueSize(64))
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr := arcreg.NewTyped[string](raw,
-			func(v string) ([]byte, error) { return []byte(v), nil },
-			func(p []byte) (string, error) { return string(p), nil }) // copies: honors the contract
 		rd, err := tr.NewReader()
 		if err != nil {
 			t.Fatal(err)

@@ -170,16 +170,24 @@
 //
 // # Byte-level access
 //
-// The untyped constructors remain for code that works in raw bytes:
-// NewARC, NewRF, NewPeterson, NewLocked, NewSeqlock, NewLeftRight
-// return Register (one Writer, per-goroutine Readers, optional Viewer/
-// FreshnessProber capabilities), NewMN the (M,N) composite, NewByteMap
-// the keyed store. All of them share or adapt to the Register/Reader/
-// Writer interfaces, so they are interchangeable in application code
-// and in the bundled benchmark harness (cmd/arcbench) that regenerates
-// the paper's figures. Reg.Register/Reg.MN expose the byte register
-// underneath a typed facade; TypedReader.ViewBytes/ReadBytes and
-// TypedWriter.SetBytes bypass the codec per call.
+// New over the Raw codec is the byte-level register: Raw's Encode and
+// Decode are the identity, so a Set copies the bytes once into the slot
+// and a Get returns a view of it.
+//
+//	reg, err := arcreg.New[[]byte](
+//		arcreg.WithCodec(arcreg.Raw()),
+//		arcreg.WithAlgorithm(arcreg.RF),
+//		arcreg.WithReaders(8),
+//	)
+//
+// Reg.Register returns the (1,N) register underneath (one Writer,
+// per-goroutine Readers, optional Viewer/FreshnessProber capabilities);
+// Reg.MN returns the (M,N) composite when WithWriters(m > 1) built one.
+// Per call, TypedReader.ViewBytes/ReadBytes and TypedWriter.SetBytes
+// bypass the codec of any typed register. NewByteMap is the keyed
+// store's byte-level constructor. The bundled benchmark harness
+// (cmd/arcbench) that regenerates the paper's figures drives the same
+// Register/Reader/Writer interfaces.
 //
 // # The (M,N) fresh-gated collect
 //
@@ -193,8 +201,8 @@
 // component entirely: its tag is their own last publish. A steady-state
 // read therefore costs M atomic loads with zero RMW instructions and
 // zero tag decoding; measured at M=4 this is ~2.7x faster than the
-// always-scan collect (MNConfig.DisableFreshGate re-enables the old
-// path for ablation).
+// always-scan collect (WithoutFreshGate re-enables the old path for
+// ablation).
 //
 // The RMW economy is observable: MNReader.ReadStats aggregates
 // component RMW per composite read (the mn-rmw/read metric reported by

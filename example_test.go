@@ -229,13 +229,16 @@ func ExampleMapOfReader_Snapshot() {
 	// Output: live keys: [a c]
 }
 
-// Byte-level access: the raw register constructors remain for code
-// that works in bytes (and for the benchmark harness).
-func ExampleNewARC() {
-	reg, err := arcreg.NewARC(arcreg.Config{MaxReaders: 2, MaxValueSize: 64})
+// Byte-level access: New over the Raw codec, unwrapped with
+// Reg.Register, is the untyped (1,N) register for code that works in
+// bytes (and for the benchmark harness).
+func ExampleNew_rawRegister() {
+	r, err := arcreg.New[[]byte](arcreg.WithCodec(arcreg.Raw()),
+		arcreg.WithReaders(2), arcreg.WithMaxValueSize(64))
 	if err != nil {
 		panic(err)
 	}
+	reg := r.Register()
 	if err := reg.Writer().Write([]byte("hello, wait-free world")); err != nil {
 		panic(err)
 	}

@@ -29,11 +29,12 @@ type Config struct {
 
 func main() {
 	initial, _ := json.Marshal(Config{Generation: 0, RateLimit: 100, Timeout: time.Second})
-	reg, err := arcreg.NewARC(arcreg.Config{
-		MaxReaders:   8,
-		MaxValueSize: 4096,
-		Initial:      initial,
-	})
+	reg, err := arcreg.New[[]byte](
+		arcreg.WithCodec(arcreg.Raw()),
+		arcreg.WithReaders(8),
+		arcreg.WithMaxValueSize(4096),
+		arcreg.WithInitialBytes(initial),
+	)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func main() {
 			defer rd.Close()
 			buf := make([]byte, 4096)
 			for !stop.Load() {
-				n, err := rd.Read(buf)
+				n, err := rd.ReadBytes(buf)
 				if err != nil {
 					log.Fatalf("worker %d: %v", id, err)
 				}
@@ -76,7 +77,6 @@ func main() {
 	}
 
 	// The config manager: reload 50 times, 10ms apart.
-	w := reg.Writer()
 	for gen := 1; gen <= 50; gen++ {
 		cfg := Config{
 			Generation:   gen,
@@ -85,7 +85,7 @@ func main() {
 			FeatureFlags: []string{"wait-free-reads", fmt.Sprintf("gen-%d", gen)},
 		}
 		blob, _ := json.Marshal(cfg)
-		if err := w.Write(blob); err != nil {
+		if err := reg.Set(blob); err != nil {
 			log.Fatal(err)
 		}
 		latestGen.Store(int64(gen))

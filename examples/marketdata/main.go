@@ -30,7 +30,7 @@ type book struct {
 	bids     [depth][2]uint64 // price, quantity — descending prices
 	asks     [depth][2]uint64 // ascending prices
 	scratch  []byte
-	register arcreg.Writer
+	register *arcreg.TypedWriter[[]byte]
 }
 
 func (b *book) publish() error {
@@ -49,11 +49,12 @@ func (b *book) publish() error {
 		binary.LittleEndian.PutUint64(buf[off+8:], b.asks[i][1])
 		off += 16
 	}
-	return b.register.Write(buf)
+	return b.register.SetBytes(buf)
 }
 
 func main() {
-	reg, err := arcreg.NewARC(arcreg.Config{MaxReaders: 5, MaxValueSize: bookSize})
+	reg, err := arcreg.New[[]byte](arcreg.WithCodec(arcreg.Raw()),
+		arcreg.WithReaders(5), arcreg.WithMaxValueSize(bookSize))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -80,8 +81,8 @@ func main() {
 			defer rd.Close()
 			var lastSeq uint64
 			for !stop.Load() {
-				v, ok := arcreg.View(rd)
-				if !ok || len(v) < 24 {
+				v, err := rd.ViewBytes()
+				if err != nil || len(v) < 24 {
 					continue
 				}
 				seq := binary.LittleEndian.Uint64(v[0:8])
@@ -110,7 +111,11 @@ func main() {
 	}
 
 	// The feed handler: apply updates and publish every revision.
-	b := &book{scratch: make([]byte, bookSize), register: reg.Writer()}
+	w, err := reg.NewWriter()
+	if err != nil {
+		log.Fatal(err)
+	}
+	b := &book{scratch: make([]byte, bookSize), register: w}
 	const mid = 1_000_000
 	for i := 0; i < depth; i++ {
 		b.bids[i] = [2]uint64{mid - 1 - uint64(i), 100}

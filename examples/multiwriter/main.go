@@ -28,11 +28,12 @@ const (
 const readingSize = 24
 
 func main() {
-	reg, err := arcreg.NewMN(arcreg.MNConfig{
-		Writers:      sensors,
-		Readers:      consumers,
-		MaxValueSize: readingSize,
-	})
+	reg, err := arcreg.New[[]byte](
+		arcreg.WithCodec(arcreg.Raw()),
+		arcreg.WithWriters(sensors),
+		arcreg.WithReaders(consumers),
+		arcreg.WithMaxValueSize(readingSize),
+	)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,14 +58,14 @@ func main() {
 			var last arcreg.MNTag
 			var lastSensor, lastSample uint64
 			for !stop.Load() {
-				v, err := rd.View()
+				v, err := rd.ViewBytes()
 				if err != nil {
 					log.Fatalf("consumer %d: %v", id, err)
 				}
 				if len(v) == 0 {
 					continue // genesis value
 				}
-				tag := rd.LastTag()
+				tag := rd.MNReader().LastTag()
 				if tag.Less(last) {
 					log.Fatalf("consumer %d: tag regressed: %v after %v", id, tag, last)
 				}
@@ -85,7 +86,7 @@ func main() {
 			log.Fatal(err)
 		}
 		wg.Add(1)
-		go func(sensor int, w arcreg.MNWriter) {
+		go func(sensor int, w *arcreg.TypedWriter[[]byte]) {
 			defer wg.Done()
 			defer w.Close()
 			buf := make([]byte, readingSize)
@@ -93,7 +94,7 @@ func main() {
 				binary.LittleEndian.PutUint64(buf[0:8], uint64(sensor))
 				binary.LittleEndian.PutUint64(buf[8:16], i)
 				binary.LittleEndian.PutUint64(buf[16:24], i*uint64(sensor+1))
-				if err := w.Write(buf); err != nil {
+				if err := w.SetBytes(buf); err != nil {
 					log.Fatalf("sensor %d: %v", sensor, err)
 				}
 				published.Add(1)

@@ -1,9 +1,8 @@
 // Package codec is the one encoding layer between the byte-oriented
 // registers and the typed public API. Every typed surface in the
-// repository — Reg[T]/New[T], the deprecated Typed[T]/TypedMN[T]
-// wrappers, and the keyed MapOf[T] — funnels through the Codec[T]
-// contract defined here, so a new encoding (protobuf, flatbuffers, a
-// hand-rolled wire format) plugs into all of them at once.
+// repository — Reg[T]/New[T] and the keyed MapOf[T] — funnels through
+// the Codec[T] contract defined here, so a new encoding (protobuf,
+// flatbuffers, a hand-rolled wire format) plugs into all of them at once.
 //
 // Codecs run outside the registers' critical operations: encoding
 // happens before the wait-free write, decoding after the wait-free read.
@@ -145,25 +144,6 @@ func Binary[T any, PT interface {
 	encoding.BinaryUnmarshaler
 }]() Codec[T] {
 	return binaryCodec[T, PT]{}
-}
-
-// funcCodec adapts a pair of functions.
-type funcCodec[T any] struct {
-	enc func(T) ([]byte, error)
-	dec func([]byte) (T, error)
-}
-
-func (c funcCodec[T]) Encode(v T) ([]byte, error) { return c.enc(v) }
-
-func (c funcCodec[T]) Decode(p []byte) (T, error) { return c.dec(p) }
-
-func (funcCodec[T]) Name() string { return "funcs" }
-
-// Funcs adapts an encode/decode function pair into a Codec — the bridge
-// the deprecated NewTyped/NewTypedMN/NewMapOf constructors use. dec is
-// held to the Codec aliasing contract: it must not retain its argument.
-func Funcs[T any](enc func(T) ([]byte, error), dec func([]byte) (T, error)) Codec[T] {
-	return funcCodec[T]{enc: enc, dec: dec}
 }
 
 // ZeroInitial encodes T's zero value for use as a register's initial

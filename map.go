@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"time"
 
-	"arcreg/internal/codec"
 	"arcreg/internal/regmap"
 )
 
@@ -88,8 +87,8 @@ type Map struct {
 }
 
 // NewByteMap constructs a byte-level Map. Most callers want the typed
-// NewMap instead; NewByteMap is the raw-bytes path, parallel to NewARC
-// and NewMN.
+// NewMap instead; NewByteMap is the raw-bytes path, parallel to New with
+// the Raw codec.
 func NewByteMap(cfg MapConfig) (*Map, error) {
 	m, err := regmap.New(regmap.Config{
 		Shards:          cfg.Shards,
@@ -354,39 +353,7 @@ func NewMap[T any](opts ...Option) (*MapOf[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewCodecMap(m, cd), nil
-}
-
-// NewCodecMap builds a typed store over an existing byte map with the
-// given codec. Most callers want NewMap, which constructs the map and
-// the codec binding in one call; NewCodecMap remains for wrapping a
-// NewByteMap the caller already holds.
-func NewCodecMap[T any](m *Map, c Codec[T]) *MapOf[T] {
-	return &MapOf[T]{m: m, c: c}
-}
-
-// NewMapOf wraps m with the given encoding. enc must produce at most
-// MaxValueSize bytes; dec must not retain its argument (the slice may
-// alias a register slot recycled after the decode returns).
-//
-// Deprecated: implement Codec[T] (or use a built-in codec) and pass it
-// to NewMap(WithCodec(c)) or NewCodecMap. NewMapOf delegates to the
-// same codec layer.
-func NewMapOf[T any](m *Map, enc func(T) ([]byte, error), dec func([]byte) (T, error)) *MapOf[T] {
-	return NewCodecMap(m, codec.Funcs(enc, dec))
-}
-
-// NewJSONMap builds a Map-backed typed store using encoding/json.
-//
-// Deprecated: use NewMap, whose default codec is JSON:
-// NewMap[T](WithShards(cfg.Shards), WithReaders(cfg.MaxReaders),
-// WithMaxValueSize(cfg.MaxValueSize)).
-func NewJSONMap[T any](cfg MapConfig) (*MapOf[T], error) {
-	m, err := NewByteMap(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return NewCodecMap(m, JSON[T]()), nil
+	return &MapOf[T]{m: m, c: cd}, nil
 }
 
 // Map exposes the underlying byte map (stats, capacity, raw access).

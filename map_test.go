@@ -118,7 +118,7 @@ func TestMapOfJSON(t *testing.T) {
 		Host string
 		Port int
 	}
-	tm, err := arcreg.NewJSONMap[endpoint](arcreg.MapConfig{MaxReaders: 2, MaxValueSize: 256})
+	tm, err := arcreg.NewMap[endpoint](arcreg.WithReaders(2), arcreg.WithMaxValueSize(256))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,28 +2,6 @@ package arcreg
 
 import "arcreg/internal/mnreg"
 
-// MNConfig parametrizes an (M,N) multi-writer register.
-type MNConfig struct {
-	// Writers is M, the number of concurrent writer handles.
-	Writers int
-	// Readers is N, the number of concurrent reader handles.
-	Readers int
-	// MaxValueSize bounds user values in bytes (default 4096).
-	MaxValueSize int
-	// Initial optionally sets the starting value.
-	Initial []byte
-	// DisableFreshGate forces every scan to perform a full ARC read and
-	// tag decode of all M components instead of the freshness-gated
-	// collect (which serves unchanged components from a per-handle cache
-	// at the cost of one atomic load each). Ablation benchmarks only.
-	DisableFreshGate bool
-	// DisableEpochGate keeps the per-component freshness probes but
-	// turns off the adaptive epoch gate — the shared publish-epoch
-	// counter that lets an all-fresh scan cost one atomic load instead
-	// of M probes. Ablation and equivalence testing only.
-	DisableEpochGate bool
-}
-
 // MNTag is the version tag of an (M,N) value: writes are totally ordered
 // by (Seq, Writer).
 type MNTag = mnreg.Tag
@@ -74,25 +52,9 @@ type MNReader interface {
 // its introduction. Every operation is wait-free with O(M) cost, and the
 // freshness-gated collect makes steady-state reads cost M atomic loads
 // with zero RMW instructions (see internal/mnreg for the protocol).
+// New with WithWriters(m > 1) builds one; Reg.MN exposes it.
 type MNRegister struct {
 	reg *mnreg.Register
-}
-
-// NewMN constructs an (M,N) register.
-func NewMN(cfg MNConfig) (*MNRegister, error) {
-	r, err := mnreg.New(mnreg.Config{
-		Writers:      cfg.Writers,
-		Readers:      cfg.Readers,
-		MaxValueSize: cfg.MaxValueSize,
-		Initial:      cfg.Initial,
-	}, mnreg.Options{
-		DisableFreshGate: cfg.DisableFreshGate,
-		DisableEpochGate: cfg.DisableEpochGate,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &MNRegister{reg: r}, nil
 }
 
 // NewWriter allocates one of the M writer identities.

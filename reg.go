@@ -11,9 +11,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"arcreg/internal/arc"
 	"arcreg/internal/codec"
 	"arcreg/internal/leftright"
 	"arcreg/internal/lockreg"
+	"arcreg/internal/mnreg"
 	"arcreg/internal/notify"
 	"arcreg/internal/peterson"
 	"arcreg/internal/register"
@@ -49,11 +51,6 @@ const (
 	LeftRight
 )
 
-// Custom marks a Reg built over an out-of-tree Register implementation
-// (via the deprecated NewTyped); its name is whatever the wrapped
-// register's Name() reports.
-const Custom AlgorithmID = -1
-
 // String returns the harness/paper name of the algorithm.
 func (a AlgorithmID) String() string {
 	switch a {
@@ -69,22 +66,8 @@ func (a AlgorithmID) String() string {
 		return "seqlock"
 	case LeftRight:
 		return "leftright"
-	case Custom:
-		return "custom"
 	}
 	return fmt.Sprintf("algorithm(%d)", int(a))
-}
-
-// algorithmOf maps a register's self-reported Name back to its ID —
-// how wrapRegister attributes pre-built registers handed to the
-// deprecated constructors.
-func algorithmOf(name string) AlgorithmID {
-	for _, a := range []AlgorithmID{ARC, RF, Peterson, Lock, Seqlock, LeftRight} {
-		if a.String() == name {
-			return a
-		}
-	}
-	return Custom
 }
 
 // Caps declares which optional capabilities a register's handles
@@ -352,40 +335,45 @@ func New[T any](opts ...Option) (*Reg[T], error) {
 
 	r := &Reg[T]{c: cd, alg: cfg.alg}
 	if cfg.writers > 1 {
-		mn, err := NewMN(MNConfig{
-			Writers:          cfg.writers,
-			Readers:          cfg.readers,
-			MaxValueSize:     cfg.maxValueSize,
-			Initial:          initial,
+		mn, err := mnreg.New(mnreg.Config{
+			Writers:      cfg.writers,
+			Readers:      cfg.readers,
+			MaxValueSize: cfg.maxValueSize,
+			Initial:      initial,
+		}, mnreg.Options{
 			DisableFreshGate: cfg.noFreshGate,
 			DisableEpochGate: cfg.noEpochGate,
 		})
 		if err != nil {
 			return nil, err
 		}
-		r.mn = mn
+		r.mn = &MNRegister{reg: mn}
 		r.caps = mn.Caps()
 		return r, nil
 	}
 
-	rcfg := Config{MaxReaders: cfg.readers, MaxValueSize: cfg.maxValueSize, Initial: initial}
+	rcfg := register.Config{MaxReaders: cfg.readers, MaxValueSize: cfg.maxValueSize, Initial: initial}
 	var (
 		reg Register
 		err error
 	)
 	switch cfg.alg {
 	case ARC:
-		reg, err = NewARC(rcfg, cfg.arcOpts...)
+		var o arc.Options
+		for _, opt := range cfg.arcOpts {
+			opt(&o)
+		}
+		reg, err = arc.New(rcfg, o)
 	case RF:
-		reg, err = NewRF(rcfg)
+		reg, err = rf.New(rcfg)
 	case Peterson:
-		reg, err = NewPeterson(rcfg)
+		reg, err = peterson.New(rcfg)
 	case Lock:
-		reg, err = NewLocked(rcfg)
+		reg, err = lockreg.New(rcfg)
 	case Seqlock:
-		reg, err = NewSeqlock(rcfg)
+		reg, err = seqlock.New(rcfg)
 	case LeftRight:
-		reg, err = NewLeftRight(rcfg)
+		reg, err = leftright.New(rcfg)
 	default:
 		return nil, fmt.Errorf("arcreg: unknown algorithm %s", cfg.alg)
 	}
@@ -440,14 +428,6 @@ func defaultReaders(alg AlgorithmID) int {
 		n = limit
 	}
 	return n
-}
-
-// wrapRegister builds a Reg over an existing byte register — the
-// delegation target of the deprecated NewTyped constructor.
-func wrapRegister[T any](reg Register, cd Codec[T]) *Reg[T] {
-	r := &Reg[T]{c: cd, reg: reg, caps: register.CapsOf(reg), alg: algorithmOf(reg.Name())}
-	r.resolveSequencer()
-	return r
 }
 
 // Algorithm reports which construction backs the register.
@@ -528,9 +508,9 @@ func (r *Reg[T]) NewWriter() (*TypedWriter[T], error) {
 	}
 	w := r.reg.Writer()
 	tw := &TypedWriter[T]{c: r.c, w: w}
-	if sw, ok := w.(StatWriter); ok {
+	if sw, ok := w.(register.StatWriter); ok {
 		tw.statw = sw
-	} else if sw, ok := r.reg.(StatWriter); ok {
+	} else if sw, ok := r.reg.(register.StatWriter); ok {
 		tw.statw = sw
 	}
 	return tw, nil
@@ -569,7 +549,7 @@ func (r *Reg[T]) NewReader() (*TypedReader[T], error) {
 	if fv, ok := rd.(register.FreshViewer); ok {
 		tr.fviewer = fv
 	}
-	if sr, ok := rd.(StatReader); ok {
+	if sr, ok := rd.(register.StatReader); ok {
 		tr.statr = sr
 	}
 	if seq := r.seq; seq != nil {
@@ -732,7 +712,7 @@ func (r *Reg[T]) Stats() Stats {
 type TypedWriter[T any] struct {
 	c     Codec[T]
 	w     Writer // (1,N)
-	statw StatWriter
+	statw register.StatWriter
 	mnw   MNWriter // (M,N)
 }
 
@@ -804,7 +784,7 @@ type TypedReader[T any] struct {
 	viewer  Viewer
 	prober  FreshnessProber
 	fviewer register.FreshViewer
-	statr   StatReader
+	statr   register.StatReader
 	mnrd    MNReader // (M,N)
 	buf     []byte   // copy-read scratch when the register cannot view
 	maxSize int

@@ -171,6 +171,9 @@ func TestFacadeEveryAlgorithm(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if got := reg.Algorithm(); got != alg {
+				t.Errorf("Algorithm() = %s, want %s", got, alg)
+			}
 			rd, err := reg.NewReader()
 			if err != nil {
 				t.Fatal(err)
@@ -578,52 +581,5 @@ func TestFacadeRawZeroSeed(t *testing.T) {
 	}
 	if v, err = reg2.Get(); err != nil || len(v) != 0 {
 		t.Errorf("Get of nil WithInitial = %v, %v; want empty", v, err)
-	}
-}
-
-// TestWrappedRegisterAlgorithm: NewTyped over a pre-built register must
-// attribute it to the right algorithm, not default to ARC.
-func TestWrappedRegisterAlgorithm(t *testing.T) {
-	rf, err := arcreg.NewRF(arcreg.Config{MaxReaders: 1, MaxValueSize: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := arcreg.NewTyped[string](rf,
-		func(v string) ([]byte, error) { return []byte(v), nil },
-		func(p []byte) (string, error) { return string(p), nil })
-	if got := tr.Algorithm(); got != arcreg.RF {
-		t.Errorf("Algorithm() = %s, want rf", got)
-	}
-}
-
-// TestDeprecatedWrappersDelegate: the old constructors still work and
-// expose the new surface underneath.
-func TestDeprecatedWrappersDelegate(t *testing.T) {
-	type point struct{ X, Y int }
-	tr, err := arcreg.NewJSON[point](arcreg.Config{MaxReaders: 2, MaxValueSize: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Register() == nil {
-		t.Fatal("Typed.Register() lost")
-	}
-	if err := tr.Set(point{1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	rd, err := tr.NewReader()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rd.Close()
-	v, err := rd.Get()
-	if err != nil || v != (point{1, 2}) {
-		t.Fatalf("Get = %+v, %v", v, err)
-	}
-	// The wrapper inherits the facade's capability surface.
-	if !tr.Caps().ZeroCopyView {
-		t.Error("Typed wrapper lost the capability report")
-	}
-	if !rd.Fresh() {
-		t.Error("Typed reader lost the freshness probe")
 	}
 }

@@ -17,7 +17,7 @@ type appConfig struct {
 }
 
 func TestTypedJSONRoundTrip(t *testing.T) {
-	reg, err := arcreg.NewJSON[appConfig](arcreg.Config{MaxReaders: 2, MaxValueSize: 4096})
+	reg, err := arcreg.New[appConfig](arcreg.WithReaders(2), arcreg.WithMaxValueSize(4096))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,23 +53,36 @@ func TestTypedJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// codecFuncs adapts an encode/decode pair into a Codec — a hand-written
+// wire format plugged in through WithCodec.
+type codecFuncs[T any] struct {
+	enc func(T) ([]byte, error)
+	dec func([]byte) (T, error)
+}
+
+func (c codecFuncs[T]) Encode(v T) ([]byte, error) { return c.enc(v) }
+func (c codecFuncs[T]) Decode(p []byte) (T, error) { return c.dec(p) }
+func (codecFuncs[T]) Name() string                 { return "funcs" }
+
 func TestTypedCustomCodec(t *testing.T) {
-	reg, err := arcreg.NewARC(arcreg.Config{MaxReaders: 1, MaxValueSize: 16})
+	typed, err := arcreg.New[uint32](
+		arcreg.WithCodec[uint32](codecFuncs[uint32]{
+			enc: func(v uint32) ([]byte, error) {
+				return []byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)}, nil
+			},
+			dec: func(p []byte) (uint32, error) {
+				if len(p) != 4 {
+					return 0, fmt.Errorf("want 4 bytes, got %d", len(p))
+				}
+				return uint32(p[0]) | uint32(p[1])<<8 | uint32(p[2])<<16 | uint32(p[3])<<24, nil
+			},
+		}),
+		arcreg.WithReaders(1), arcreg.WithMaxValueSize(16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	typed := arcreg.NewTyped(reg,
-		func(v uint32) ([]byte, error) {
-			return []byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)}, nil
-		},
-		func(p []byte) (uint32, error) {
-			if len(p) != 4 {
-				return 0, fmt.Errorf("want 4 bytes, got %d", len(p))
-			}
-			return uint32(p[0]) | uint32(p[1])<<8 | uint32(p[2])<<16 | uint32(p[3])<<24, nil
-		})
-	if typed.Register() != reg {
-		t.Fatal("Register() accessor wrong")
+	if typed.Codec().Name() != "funcs" {
+		t.Fatalf("Codec() = %s", typed.Codec().Name())
 	}
 	rd, err := typed.NewReader()
 	if err != nil {
@@ -90,18 +103,26 @@ func TestTypedCustomCodec(t *testing.T) {
 }
 
 func TestTypedEncodeErrorsSurface(t *testing.T) {
-	reg, _ := arcreg.NewARC(arcreg.Config{MaxReaders: 1, MaxValueSize: 16})
 	boom := errors.New("boom")
-	typed := arcreg.NewTyped(reg,
-		func(int) ([]byte, error) { return nil, boom },
-		func([]byte) (int, error) { return 0, nil })
+	// WithInitialBytes seeds the register without calling the failing
+	// encoder.
+	typed, err := arcreg.New[int](
+		arcreg.WithCodec[int](codecFuncs[int]{
+			enc: func(int) ([]byte, error) { return nil, boom },
+			dec: func([]byte) (int, error) { return 0, nil },
+		}),
+		arcreg.WithInitialBytes([]byte{}),
+		arcreg.WithReaders(1), arcreg.WithMaxValueSize(16))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := typed.Set(1); !errors.Is(err, boom) {
 		t.Fatalf("Set err = %v", err)
 	}
 }
 
 func TestTypedOversizedValueRejected(t *testing.T) {
-	reg, err := arcreg.NewJSON[appConfig](arcreg.Config{MaxReaders: 1, MaxValueSize: 64})
+	reg, err := arcreg.New[appConfig](arcreg.WithReaders(1), arcreg.WithMaxValueSize(64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,19 +131,18 @@ func TestTypedOversizedValueRejected(t *testing.T) {
 		t.Fatalf("oversized Set: %v", err)
 	}
 	// A zero value that does not fit is caught at construction.
-	if _, err := arcreg.NewJSON[appConfig](arcreg.Config{MaxReaders: 1, MaxValueSize: 8}); err == nil {
-		t.Fatal("NewJSON accepted a MaxValueSize below the zero value's encoding")
+	if _, err := arcreg.New[appConfig](arcreg.WithReaders(1), arcreg.WithMaxValueSize(8)); err == nil {
+		t.Fatal("New accepted a MaxValueSize below the zero value's encoding")
 	}
 }
 
 func TestTypedNonViewerBackend(t *testing.T) {
-	base, err := arcreg.NewPeterson(arcreg.Config{MaxReaders: 1, MaxValueSize: 128})
+	typed, err := arcreg.New[string](arcreg.WithCodec(arcreg.String()),
+		arcreg.WithAlgorithm(arcreg.Peterson),
+		arcreg.WithReaders(1), arcreg.WithMaxValueSize(128))
 	if err != nil {
 		t.Fatal(err)
 	}
-	typed := arcreg.NewTyped(base,
-		func(s string) ([]byte, error) { return []byte(s), nil },
-		func(p []byte) (string, error) { return string(p), nil })
 	if err := typed.Set("through peterson"); err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +160,7 @@ func TestTypedNonViewerBackend(t *testing.T) {
 }
 
 func TestTypedConcurrent(t *testing.T) {
-	reg, err := arcreg.NewJSON[appConfig](arcreg.Config{MaxReaders: 4, MaxValueSize: 2048})
+	reg, err := arcreg.New[appConfig](arcreg.WithReaders(4), arcreg.WithMaxValueSize(2048))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,8 +205,7 @@ func TestTypedConcurrent(t *testing.T) {
 }
 
 func TestPublicDynamicBuffers(t *testing.T) {
-	reg, err := arcreg.NewARC(arcreg.Config{MaxReaders: 1, MaxValueSize: 1 << 20},
-		arcreg.WithDynamicBuffers())
+	reg, err := newRawRegister(1, 1<<20, arcreg.WithARC(arcreg.WithDynamicBuffers()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +218,7 @@ func TestPublicDynamicBuffers(t *testing.T) {
 		if err := reg.Writer().Write(val); err != nil {
 			t.Fatal(err)
 		}
-		v, ok := arcreg.View(rd)
+		v, ok := view(rd)
 		if !ok || len(v) != len(val) {
 			t.Fatalf("view %d bytes, want %d", len(v), len(val))
 		}

@@ -1,7 +1,6 @@
 package arcreg_test
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
@@ -16,7 +15,7 @@ func TestTypedMNRoundtrip(t *testing.T) {
 		Writer int
 		Round  int
 	}
-	reg, err := arcreg.NewJSONMN[state](arcreg.MNConfig{Writers: 3, Readers: 2, MaxValueSize: 256})
+	reg, err := arcreg.New[state](arcreg.WithWriters(3), arcreg.WithReaders(2), arcreg.WithMaxValueSize(256))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +34,7 @@ func TestTypedMNRoundtrip(t *testing.T) {
 		t.Fatalf("genesis value = %+v", got)
 	}
 
-	var writers []*arcreg.TypedMNWriter[state]
+	var writers []*arcreg.TypedWriter[state]
 	for i := 0; i < 3; i++ {
 		w, err := reg.NewWriter()
 		if err != nil {
@@ -44,7 +43,7 @@ func TestTypedMNRoundtrip(t *testing.T) {
 		defer w.Close()
 		writers = append(writers, w)
 	}
-	last := rd.LastTag()
+	last := rd.MNReader().LastTag()
 	for round := 1; round <= 5; round++ {
 		for _, w := range writers {
 			if err := w.Set(state{Writer: w.ID(), Round: round}); err != nil {
@@ -57,7 +56,7 @@ func TestTypedMNRoundtrip(t *testing.T) {
 			if got.Writer != w.ID() || got.Round != round {
 				t.Fatalf("got %+v after writer %d round %d", got, w.ID(), round)
 			}
-			tag := rd.LastTag()
+			tag := rd.MNReader().LastTag()
 			if tag.Less(last) {
 				t.Fatalf("tag regressed: %v after %v", tag, last)
 			}
@@ -71,7 +70,7 @@ func TestTypedMNRoundtrip(t *testing.T) {
 // never regress per writer.
 func TestTypedMNConcurrent(t *testing.T) {
 	type tick struct{ W, N int }
-	reg, err := arcreg.NewJSONMN[tick](arcreg.MNConfig{Writers: 2, Readers: 2, MaxValueSize: 128})
+	reg, err := arcreg.New[tick](arcreg.WithWriters(2), arcreg.WithReaders(2), arcreg.WithMaxValueSize(128))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,31 +125,4 @@ func TestTypedMNConcurrent(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	rg.Wait()
-}
-
-// ExampleNewJSONMN shows the multi-writer typed register: several
-// components publish concurrently; every reader decodes the freshest
-// publication.
-func ExampleNewJSONMN() {
-	type health struct {
-		Shard  string
-		Status string
-	}
-	reg, err := arcreg.NewJSONMN[health](arcreg.MNConfig{Writers: 2, Readers: 4})
-	if err != nil {
-		panic(err)
-	}
-	w0, _ := reg.NewWriter()
-	w1, _ := reg.NewWriter()
-	defer w0.Close()
-	defer w1.Close()
-
-	_ = w0.Set(health{Shard: "eu", Status: "ok"})
-	_ = w1.Set(health{Shard: "us", Status: "degraded"})
-
-	rd, _ := reg.NewReader()
-	defer rd.Close()
-	v, _ := rd.Get()
-	fmt.Printf("%s: %s\n", v.Shard, v.Status)
-	// Output: us: degraded
 }
