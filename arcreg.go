@@ -77,11 +77,10 @@ func WithStaticReaders() ARCOption {
 }
 
 // WithDynamicBuffers enables the paper's §3.3 allocation variant: every
-// write allocates an exact-size buffer instead of filling a pre-allocated
-// MaxValueSize slot. Memory then scales with the values actually stored
-// (useful when MaxValueSize is large and typical values are small), at
-// the cost of one allocation per write; retired buffers are reclaimed by
-// the garbage collector.
+// write allocates an exact-size buffer instead of reusing the slot's
+// buffer. Both modes size memory to the values stored; this one also
+// keeps stale views valid indefinitely (retired buffers are reclaimed by
+// the garbage collector), at the cost of one allocation per write.
 func WithDynamicBuffers() ARCOption {
 	return func(o *arc.Options) { o.DynamicBuffers = true }
 }

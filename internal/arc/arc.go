@@ -85,7 +85,12 @@ type slot struct {
 	// the writer while the slot is free; readers observe it through the
 	// happens-before edge established by the RMW chain on current.
 	size int
-	// content is the pre-allocated value buffer (MaxValueSize bytes).
+	// content is the slot's value buffer, sized to the values the slot
+	// has held rather than to MaxValueSize: empty until the slot's first
+	// non-empty write, then the slot's stripe of the register's slab, then
+	// its own buffer once a value outgrows the stripe (see grow). Like
+	// size it changes only while the slot is free, and len(content) ==
+	// cap(content) always holds: size alone carries the value length.
 	content []byte
 }
 
@@ -110,12 +115,13 @@ type Options struct {
 	// any real implementation … dynamic buffer allocation/release, with
 	// each buffer made up by the amount of bytes fitting the size of the
 	// register value … could be employed." Each write allocates an
-	// exact-size buffer instead of copying into the pre-allocated
-	// MaxValueSize one, so memory scales with the live values rather than
-	// with (N+2)·MaxValueSize. Old buffers are reclaimed by the garbage
-	// collector, which also makes stale views safe indefinitely (they
-	// alias buffers no writer will ever touch again). The price is one
-	// allocation per write.
+	// exact-size buffer instead of copying into the slot's reused one.
+	// The default mode already sizes slot buffers to the values held
+	// (one slab per register, grown per slot on demand), so this variant
+	// differs in two ways only: old buffers are reclaimed by the garbage
+	// collector, which makes stale views safe indefinitely (they alias
+	// buffers no writer will ever touch again), and every write pays one
+	// allocation.
 	DynamicBuffers bool
 }
 
@@ -145,6 +151,12 @@ type Register struct {
 	lastSlot   uint32 // slot of the last write; always == current index
 	scanCursor uint32 // round-robin start position for the W1 scan
 	wstats     register.WriteStats
+	// slab backs every slot's first buffer: N+2 stripes of stride bytes,
+	// allocated at the first non-empty value (the initial value
+	// included), stride being that value's length rounded up to
+	// membuf.Alignment. nil until then and in DynamicBuffers mode.
+	slab   []byte
+	stride int
 	// rec is the writer's flight-recorder ring (nil = untraced): each
 	// stamped write records one StagePublish event after the W2 swap.
 	// Writer-owned like the rest of this block — Trace is wiring-time.
@@ -175,9 +187,6 @@ func New(cfg register.Config, opts Options) (*Register, error) {
 		return nil, err
 	}
 	initial := cfg.InitialOrDefault()
-	if cfg.MaxValueSize < len(initial) {
-		cfg.MaxValueSize = len(initial)
-	}
 	nslots := cfg.MaxReaders + 2 // the N+2 lower bound (§3.3)
 	r := &Register{
 		slots:        make([]slot, nslots),
@@ -185,17 +194,17 @@ func New(cfg register.Config, opts Options) (*Register, error) {
 		maxValueSize: cfg.MaxValueSize,
 		opts:         opts,
 	}
-	if !opts.DynamicBuffers {
-		for i := range r.slots {
-			r.slots[i].content = membuf.Aligned(cfg.MaxValueSize)
-		}
-	}
 	// Algorithm 1: the initial value is posted into slot 0; every other
 	// slot starts with r_start == r_end == 0 (free).
 	if opts.DynamicBuffers {
 		r.slots[0].content = append([]byte(nil), initial...)
 		r.slots[0].size = len(initial)
 	} else {
+		// Empty but non-nil, so an empty value reads back as []byte{}.
+		for i := range r.slots {
+			r.slots[i].content = []byte{}
+		}
+		r.grow(&r.slots[0], 0, len(initial))
 		r.slots[0].size = copy(r.slots[0].content, initial)
 	}
 	if opts.StaticInit {
@@ -292,6 +301,12 @@ func (r *Register) WriteStamped(p []byte, stamp int64) error {
 		s.content = append(make([]byte, 0, len(p)), p...)
 		s.size = len(p)
 	} else {
+		// The slot is W1's free pick, so no reader can reach its buffer
+		// until W2 publishes it: the one point where the writer may swap
+		// the buffer (Lemma 4.2 and the view lifetime are unchanged).
+		if len(p) > len(s.content) {
+			r.grow(s, idx, len(p))
+		}
 		s.size = copy(s.content, p) // single copy of the new content
 	}
 	s.rStart.Store(0)
@@ -336,6 +351,35 @@ func (r *Register) Trace(ring *trace.Ring) { r.rec = ring }
 // chain the gate to an aggregate (mnreg's composite gate, regmap's
 // shard gates) at wiring time.
 func (r *Register) Notifier() *notify.Sequencer { return &r.seq }
+
+// grow gives slot s (index idx) a buffer of at least n bytes. Called only
+// by the writer on a free slot (or on slot 0 during New). The first
+// non-empty value allocates the slab; a slot still on its empty starting
+// buffer takes its stripe if n fits; otherwise the slot gets its own
+// buffer, at least doubling its capacity (capped at MaxValueSize) so a
+// slowly lengthening value reallocates each slot O(log MaxValueSize)
+// times. Every buffer starts on a cache line and spans whole lines, so no
+// two slots' buffers share one.
+func (r *Register) grow(s *slot, idx uint32, n int) {
+	if n == 0 {
+		return
+	}
+	if r.slab == nil {
+		r.stride = alignUp(n)
+		r.slab = membuf.Aligned(len(r.slots) * r.stride)
+	}
+	if len(s.content) == 0 && n <= r.stride {
+		lo := int(idx) * r.stride
+		s.content = r.slab[lo : lo+r.stride : lo+r.stride]
+		return
+	}
+	s.content = membuf.Aligned(alignUp(min(max(n, 2*len(s.content)), r.maxValueSize)))
+}
+
+// alignUp rounds n up to a multiple of membuf.Alignment.
+func alignUp(n int) int {
+	return (n + membuf.Alignment - 1) &^ (membuf.Alignment - 1)
+}
 
 // findFreeSlot returns a slot with r_start == r_end that is not the
 // freshest slot (W1), consulting the §3.4 reader hint first.

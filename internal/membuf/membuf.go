@@ -1,7 +1,9 @@
 // Package membuf supplies the buffer substrate shared by all register
-// implementations: cache-line-aligned buffer allocation (the paper
-// pre-allocates all N+2 slot buffers with mmap; we pre-allocate slices once
-// at register construction) and a versioned payload codec.
+// implementations: cache-line-aligned buffer allocation and a versioned
+// payload codec. The paper pre-allocates all N+2 slot buffers with mmap;
+// the baselines here allocate theirs once at register construction, while
+// ARC carves value-sized stripes from one aligned slab and grows a slot
+// into its own aligned buffer on demand.
 //
 // The codec is the workhorse of the correctness harness. Every test write
 // encodes a monotonically increasing version into the payload, redundantly

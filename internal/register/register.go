@@ -92,8 +92,9 @@ type Config struct {
 	// MaxReaders is N, the number of concurrently live reader handles.
 	MaxReaders int
 	// MaxValueSize is the largest value, in bytes, a Write may publish.
-	// Slot buffers are pre-allocated at this size (the paper pre-allocates
-	// with mmap; §3.3 notes dynamic allocation is an orthogonal choice).
+	// The baselines pre-allocate their slot buffers at this size, as the
+	// paper does with mmap; ARC sizes its buffers to the values held and
+	// grows them toward this bound (§3.3 allows either choice).
 	MaxValueSize int
 	// Initial, if non-nil, is the register's initial value (Algorithm 1
 	// posts it into slot 0). If nil, the register initially holds a

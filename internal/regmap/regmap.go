@@ -188,14 +188,15 @@ type Config struct {
 	// MaxReaders is N, the number of concurrently live Reader handles.
 	MaxReaders int
 	// MaxValueSize bounds values in bytes (default
-	// register.DefaultMaxValueSize). Per-key registers pre-allocate
-	// MaxReaders+2 buffers of this size unless DynamicValues is set.
+	// register.DefaultMaxValueSize). It is a bound, not an allocation:
+	// per-key registers size their MaxReaders+2 slot buffers to the
+	// values they hold (see internal/arc).
 	MaxValueSize int
 	// DynamicValues selects the §3.3 dynamic-buffer variant for the
 	// per-key value registers: each Set allocates an exact-size buffer
-	// instead of filling a pre-allocated slot. Memory then scales with
-	// the values actually stored — the right choice when the map holds
-	// many keys with small or rarely-updated values.
+	// instead of reusing a slot's buffer. Both modes scale memory with
+	// the values stored; this one also keeps stale views valid
+	// indefinitely, at one allocation per Set.
 	DynamicValues bool
 	// Trace enables the always-on flight recorder: one writer ring per
 	// shard (value and directory publications record StagePublish and

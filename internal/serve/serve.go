@@ -782,6 +782,10 @@ func (s *Server) handleWatchKey(w http.ResponseWriter, r *http.Request) {
 		if _, werr := w.Write(scratch); werr != nil {
 			return
 		}
+		// Count the frame before the flush hands it to the client, so a
+		// client that has read the event never sees a stale counter.
+		s.st.watchEvents.Add(1)
+		s.st.bytesOut.Add(uint64(len(scratch)))
 		fl.Flush()
 		// Flight recorder: the span's terminal stage — this SSE frame
 		// left for the socket. Recorded by the connection goroutine into
@@ -790,8 +794,6 @@ func (s *Server) handleWatchKey(w http.ResponseWriter, r *http.Request) {
 		// is the origin publish stamp the wake carried. Nil-safe on
 		// untraced maps or exhausted lane pools.
 		rd.TraceRing().Record(trace.StageFlush, 0, rd.LastWake(), uint64(len(scratch)))
-		s.st.watchEvents.Add(1)
-		s.st.bytesOut.Add(uint64(len(scratch)))
 	}
 }
 
@@ -893,11 +895,12 @@ func (s *Server) handleWatchAll(w http.ResponseWriter, r *http.Request) {
 		if _, werr := w.Write(scratch); werr != nil {
 			return
 		}
+		// Counted before the flush, as in handleWatchKey.
+		s.st.watchEvents.Add(1)
+		s.st.bytesOut.Add(uint64(len(scratch)))
 		fl.Flush()
 		// Terminal span stage, as in handleWatchKey.
 		rd.TraceRing().Record(trace.StageFlush, 0, rd.LastWake(), uint64(len(scratch)))
-		s.st.watchEvents.Add(1)
-		s.st.bytesOut.Add(uint64(len(scratch)))
 	}
 }
 

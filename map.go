@@ -48,9 +48,10 @@ type MapConfig struct {
 	// MaxValueSize bounds values in bytes (default 4096).
 	MaxValueSize int
 	// DynamicValues makes every Set allocate an exact-size buffer (the
-	// paper's §3.3 variant) instead of pre-allocating MaxReaders+2
-	// MaxValueSize buffers per key — the right choice for maps with many
-	// keys holding small values.
+	// paper's §3.3 variant) instead of reusing the key's slot buffers,
+	// which the default already sizes to the values held. What it adds:
+	// stale views stay valid indefinitely. What it costs: one allocation
+	// per Set.
 	DynamicValues bool
 	// Trace enables the always-on flight recorder (see WithTrace):
 	// per-domain event rings threading publish→deliver spans, with zero

@@ -125,8 +125,9 @@ func WithReaders(n int) Option {
 	return func(c *config) { c.readers = n }
 }
 
-// WithMaxValueSize bounds encoded values in bytes (default 4096; slot
-// buffers are pre-allocated at this size).
+// WithMaxValueSize bounds encoded values in bytes (default 4096). It is
+// a bound, not an allocation: ARC slot buffers are sized to the values
+// the register actually holds and grow toward it on demand.
 func WithMaxValueSize(n int) Option {
 	return func(c *config) { c.maxValueSize = n }
 }
@@ -161,9 +162,10 @@ func WithShards(s int) Option {
 
 // WithDynamicValues selects the §3.3 dynamic-buffer variant for the
 // keyed store's per-key registers: every Set allocates an exact-size
-// buffer instead of pre-allocating MaxReaders+2 MaxValueSize buffers
-// per key — the right choice for maps holding many keys with small
-// values. Valid only for NewMap.
+// buffer instead of reusing the key's slot buffers. The default already
+// sizes those buffers to the values held, so the variant differs in two
+// ways only: stale views stay valid indefinitely, and every Set
+// allocates. Valid only for NewMap.
 func WithDynamicValues() Option {
 	return func(c *config) { c.dynamicValues = true }
 }
