@@ -133,26 +133,35 @@ func BenchmarkProcessing_32KB(b *testing.B) {
 func BenchmarkRMWCount(b *testing.B) {
 	var arcPerRead, rfPerRead, mnPerRead float64
 	for b.Loop() {
-		rep, err := harness.RunRMWComparison(hostThreads(), 4<<10, benchWindow, 10*time.Millisecond)
+		fig := harness.FigRMW()
+		fig.Threads = hostThreads()
+		fig.Sizes = []int{4 << 10}
+		fig.Duration, fig.Warmup = benchWindow, 10*time.Millisecond
+		data, err := fig.Run(nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, row := range rep.Rows {
-			switch row.Algorithm {
+		for _, c := range data.Cells {
+			switch c.Algorithm {
 			case harness.AlgARC:
-				arcPerRead = row.RMWPerRead()
+				arcPerRead = c.Result.RMWPerRead()
 			case harness.AlgRF:
-				rfPerRead = row.RMWPerRead()
+				rfPerRead = c.Result.RMWPerRead()
 			}
 		}
 		// (M,N) composite accounting: M=2 writers, fresh-gated collect.
-		mnRep, err := harness.RunMNRMWComparison([]int{4}, 2, 4<<10, benchWindow, 10*time.Millisecond)
+		mnFig := harness.FigRMWMN()
+		mnFig.Threads = []int{4}
+		mnFig.Writers = 2
+		mnFig.Sizes = []int{4 << 10}
+		mnFig.Duration, mnFig.Warmup = benchWindow, 10*time.Millisecond
+		mnData, err := mnFig.Run(nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, row := range mnRep.Rows {
-			if row.Algorithm == harness.AlgMN {
-				mnPerRead = row.RMWPerRead()
+		for _, c := range mnData.Cells {
+			if c.Algorithm == harness.AlgMN {
+				mnPerRead = c.Result.RMWPerRead()
 			}
 		}
 	}

@@ -1,29 +1,35 @@
 // Command arcbench regenerates the ARC paper's evaluation (§5, Figures
-// 1–3) plus the RMW-accounting and ablation experiments on the local
-// machine.
+// 1–3) plus the RMW-accounting, ablation and beyond-paper experiments
+// on the local machine.
 //
-// Regenerate a whole figure (one ASCII table per register size, the same
-// series the paper plots):
+// Regenerate a whole figure:
 //
 //	arcbench -figure fig1
 //	arcbench -figure fig2            # virtualized host: CPU-steal simulation
 //	arcbench -figure fig3            # 1000–4000 threads, time-sharing
 //	arcbench -figure processing      # §5's second workload
 //	arcbench -figure ablation        # ARC vs its own disabled optimizations
-//	arcbench -figure rmw             # RMW instructions per read, ARC vs RF vs (M,N)
+//	arcbench -figure extensions      # ARC vs seqlock and Left-Right
 //	arcbench -figure mn              # (M,N) composite: fresh-gated collect vs ablation
+//	arcbench -figure map             # sharded snapshot map: keys × threads
+//	arcbench -figure rmw             # RMW instructions per read, ARC vs RF vs (M,N)
+//	arcbench -figure latency         # per-operation latency quantiles
+//	arcbench -figure watch           # publish→observe wakeup latency
 //	arcbench -figure serve           # HTTP loopback: GET req/s + publish→observe latency
 //	arcbench -figure all             # everything above, in order
 //
+// Every experiment prints one long-form table: a title, a settings
+// line, then one line per measured cell, with n/a in the metric
+// columns of an infeasible cell. -csv appends the same rows to a file,
+// each led by the figure ID, with infeasible cells skipped.
+//
 // Sweeps can be overridden (-threads, -sizes, -duration, -steal,
 // -writers) and shrunk for smoke runs (-quick); explicit -threads/-sizes
-// overrides win over the -quick caps. A single deployment can be
-// measured directly:
+// overrides win over the -quick caps. A single deployment, measured at
+// the first -threads value, can be run directly:
 //
 //	arcbench -alg arc -threads 16 -size 32768 -duration 2s
-//	arcbench -alg mn -writers 4 -nthreads 8 -size 4096
-//
-// Results go to stdout; -csv appends machine-readable rows to a file.
+//	arcbench -alg mn -writers 4 -threads 8 -size 4096
 package main
 
 import (
@@ -47,57 +53,60 @@ func main() {
 	}
 }
 
+// options holds the parsed command line.
+type options struct {
+	figure, alg, mode, csvPath                       string
+	threads, sizes, writers, keys, watchers, clients intList
+	size, latency, shards, delEvery, snapEvery       int
+	fanArity, fanDepth                               int
+	duration, warmup, pubEvery                       time.Duration
+	stealF, zipf                                     float64
+	quick                                            bool
+}
+
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("arcbench", flag.ContinueOnError)
-	var (
-		figure    = fs.String("figure", "", "figure to regenerate: fig1|fig2|fig3|processing|ablation|extensions|mn|map|rmw|latency|watch|serve|all")
-		alg       = fs.String("alg", "arc", "algorithm for single runs: arc|rf|peterson|lock|seqlock|leftright|mn|mn-nogate|map|arc-nofastpath|arc-nohint")
-		threads   = fs.String("threads", "", "comma-separated thread counts (overrides the figure's sweep)")
-		sizes     = fs.String("sizes", "", "comma-separated register sizes in bytes (overrides the sweep)")
-		size      = fs.Int("size", 4096, "register size for single runs")
-		nthreads  = fs.Int("nthreads", 4, "thread count for single runs (writers + readers)")
-		writers   = fs.String("writers", "", "writer thread count(s): one value for single runs, a comma list sweeps M on the mn figure (e.g. 1,2,4,8)")
-		mode      = fs.String("mode", "dummy", "workload: dummy|processing")
-		duration  = fs.Duration("duration", time.Second, "measurement window per cell")
-		warmup    = fs.Duration("warmup", 200*time.Millisecond, "warmup before each window")
-		stealF    = fs.Float64("steal", -1, "CPU-steal fraction override (0..0.9; -1 keeps the figure default)")
-		quick     = fs.Bool("quick", false, "shrink sweeps and windows for a smoke run")
-		csvPath   = fs.String("csv", "", "also append CSV rows to this file")
-		latency   = fs.Int("latency-sample", 0, "record every Nth op latency in single runs (0=off)")
-		keys      = fs.String("keys", "", "comma-separated key counts for the map figure (overrides the sweep)")
-		zipf      = fs.Float64("zipf", -1, "map figure key-popularity Zipf exponent (≤1 uniform; -1 keeps the default)")
-		shards    = fs.Int("shards", 0, "map figure shard count (0 keeps the default)")
-		delEvery  = fs.Int("delete-every", -1, "map figure delete-mix: every Nth writer op deletes/re-creates a lifecycle key (0 disables; -1 keeps the default)")
-		snapEvery = fs.Int("snapshot-every", -1, "map figure snapshot mix: every Nth reader op takes a multi-key Snapshot (0 disables; -1 keeps the default)")
-		watchers  = fs.String("watchers", "", "comma-separated watcher counts for the watch figure, k suffix = thousands (e.g. 1k,10k; overrides the sweep)")
-		clients   = fs.String("clients", "", "comma-separated HTTP client counts for the serve figure (overrides the sweep)")
-		pubEvery  = fs.Duration("publish-every", 0, "watch figure writer cadence (0 keeps the default)")
-		fanArity  = fs.Int("fan-arity", -1, "watch figure wakeup-tree arity (0 drops the tree series; -1 keeps the default)")
-		fanDepth  = fs.Int("fan-depth", -1, "watch figure wakeup-tree depth (-1 keeps the default)")
-	)
+	var o options
+	fs.StringVar(&o.figure, "figure", "", "figure to regenerate: fig1|fig2|fig3|processing|ablation|extensions|mn|map|rmw|latency|watch|serve|all")
+	fs.StringVar(&o.alg, "alg", "arc", "algorithm for single runs: arc|rf|peterson|lock|seqlock|leftright|mn|mn-nogate|map|arc-nofastpath|arc-nohint")
+	fs.Var(&o.threads, "threads", "comma-separated thread counts (overrides the figure's sweep); single runs and -figure latency use the first (default 4)")
+	fs.Var(&o.sizes, "sizes", "comma-separated register sizes in bytes (overrides the sweep)")
+	fs.IntVar(&o.size, "size", 4096, "register size for single runs and -figure latency")
+	fs.Var(&o.writers, "writers", "writer thread count(s): one value for single runs, a comma list sweeps M on the mn and rmw figures (e.g. 1,2,4,8)")
+	fs.StringVar(&o.mode, "mode", "dummy", "workload: dummy|processing")
+	fs.DurationVar(&o.duration, "duration", time.Second, "measurement window per cell")
+	fs.DurationVar(&o.warmup, "warmup", 200*time.Millisecond, "warmup before each window")
+	fs.Float64Var(&o.stealF, "steal", -1, "CPU-steal fraction override (0..0.9; -1 keeps the figure default)")
+	fs.BoolVar(&o.quick, "quick", false, "shrink sweeps and windows for a smoke run")
+	fs.StringVar(&o.csvPath, "csv", "", "also append CSV rows to this file")
+	fs.IntVar(&o.latency, "latency-sample", 0, "record every Nth op latency in single runs (0=off)")
+	fs.Var(&o.keys, "keys", "comma-separated key counts for the map figure (overrides the sweep)")
+	fs.Float64Var(&o.zipf, "zipf", -1, "map figure key-popularity Zipf exponent (≤1 uniform; -1 keeps the default)")
+	fs.IntVar(&o.shards, "shards", 0, "map figure shard count (0 keeps the default)")
+	fs.IntVar(&o.delEvery, "delete-every", -1, "map figure delete-mix: every Nth writer op deletes/re-creates a lifecycle key (0 disables; -1 keeps the default)")
+	fs.IntVar(&o.snapEvery, "snapshot-every", -1, "map figure snapshot mix: every Nth reader op takes a multi-key Snapshot (0 disables; -1 keeps the default)")
+	fs.Var(&o.watchers, "watchers", "comma-separated watcher counts for the watch figure, k suffix = thousands (e.g. 1k,10k; overrides the sweep)")
+	fs.Var(&o.clients, "clients", "comma-separated HTTP client counts for the serve figure (overrides the sweep)")
+	fs.DurationVar(&o.pubEvery, "publish-every", 0, "watch figure writer cadence (0 keeps the default)")
+	fs.IntVar(&o.fanArity, "fan-arity", -1, "watch figure wakeup-tree arity (0 drops the tree series; -1 keeps the default)")
+	fs.IntVar(&o.fanDepth, "fan-depth", -1, "watch figure wakeup-tree depth (-1 keeps the default)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
 	fmt.Fprintf(out, "arcbench: GOMAXPROCS=%d NumCPU=%d\n\n", runtime.GOMAXPROCS(0), runtime.NumCPU())
 
-	writerList := mustInts(*writers)
-	firstWriters := 0
-	if len(writerList) > 0 {
-		firstWriters = writerList[0]
+	if o.figure == "" {
+		return singleRun(out, o)
 	}
 
-	if *figure == "" {
-		return singleRun(out, *alg, *nthreads, firstWriters, *size, *mode, *duration, *warmup, *stealF, *latency)
-	}
-
-	ids := []string{*figure}
-	if *figure == "all" {
+	ids := []string{o.figure}
+	if o.figure == "all" {
 		ids = []string{"fig1", "fig2", "fig3", "processing", "ablation", "extensions", "mn", "map", "rmw", "latency", "watch", "serve"}
 	}
 	var csv *os.File
-	if *csvPath != "" {
-		f, err := os.OpenFile(*csvPath, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
+	if o.csvPath != "" {
+		f, err := os.OpenFile(o.csvPath, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
 		if err != nil {
 			return err
 		}
@@ -105,81 +114,96 @@ func run(args []string, out io.Writer) error {
 		csv = f
 	}
 	for _, id := range ids {
-		if id == "rmw" {
-			if err := runRMW(out, *threads, firstWriters, *size, *duration, *warmup, *quick); err != nil {
-				return err
-			}
-			continue
-		}
-		if id == "latency" {
-			if err := runLatency(out, *nthreads, *size, *stealF, *duration, *warmup, *quick); err != nil {
-				return err
-			}
-			continue
-		}
-		if id == "map" {
-			if err := runMapFigure(out, csv, *threads, *keys, *sizes, *shards, *delEvery, *snapEvery, *zipf, *stealF, *mode, *duration, *warmup, *quick); err != nil {
-				return err
-			}
-			continue
-		}
-		if id == "watch" {
-			if err := runWatchFigure(out, csv, *watchers, *sizes, *pubEvery, *fanArity, *fanDepth, *duration, *warmup, *quick); err != nil {
-				return err
-			}
-			continue
-		}
-		if id == "serve" {
-			if err := runServeFigure(out, csv, *clients, *sizes, *pubEvery, *duration, *warmup, *quick); err != nil {
-				return err
-			}
-			continue
-		}
-		fig, err := harness.FigureByID(id)
+		tables, err := experiment(id, o)
 		if err != nil {
 			return err
 		}
-		fig = customize(fig, *threads, *sizes, writerList, *duration, *warmup, *stealF, *quick)
-		progress := func(done, total int, c harness.Cell) {
-			status := fmt.Sprintf("%.2f Mops/s", c.Result.Mops())
-			if c.Err != nil {
-				status = "n/a (" + c.Err.Error() + ")"
+		for _, t := range tables {
+			if err := t.WriteText(out); err != nil {
+				return err
 			}
-			fmt.Fprintf(os.Stderr, "[%s %d/%d] %s threads=%d size=%d: %s\n",
-				fig.ID, done, total, c.Algorithm, c.Threads, c.Size, status)
-		}
-		data, err := fig.Run(progress)
-		if err != nil {
-			return err
-		}
-		data.RenderTable(out)
-		if csv != nil {
-			data.RenderCSV(csv)
+			if csv != nil {
+				if err := t.WriteCSV(csv); err != nil {
+					return fmt.Errorf("write %s: %w", o.csvPath, err)
+				}
+			}
 		}
 	}
+	if csv != nil {
+		return csv.Close()
+	}
 	return nil
+}
+
+// experiment runs one -figure id and returns its result tables.
+func experiment(id string, o options) ([]harness.Table, error) {
+	switch id {
+	case "rmw":
+		var tables []harness.Table
+		for _, fig := range []harness.Figure{harness.FigRMW(), harness.FigRMWMN()} {
+			data, err := customize(fig, o).Run(progress[harness.Cell](fig.ID))
+			if err != nil {
+				return nil, err
+			}
+			tables = append(tables, data.RMWTable())
+		}
+		return tables, nil
+	case "latency":
+		rep, err := runLatency(o)
+		return []harness.Table{rep.Table()}, err
+	case "map":
+		fig, err := mapFigure(o)
+		if err != nil {
+			return nil, err
+		}
+		data, err := fig.Run(progress[harness.MapCell](fig.ID))
+		return []harness.Table{data.Table()}, err
+	case "watch":
+		fig := watchFigure(o)
+		data, err := fig.Run(progress[harness.WatchCell](fig.ID))
+		return []harness.Table{data.Table()}, err
+	case "serve":
+		fig := serveFigure(o)
+		data, err := fig.Run(progress[harness.ServeCell](fig.ID))
+		return []harness.Table{data.Table()}, err
+	}
+	fig, err := harness.FigureByID(id)
+	if err != nil {
+		return nil, err
+	}
+	fig = customize(fig, o)
+	data, err := fig.Run(progress[harness.Cell](fig.ID))
+	return []harness.Table{data.Table()}, err
+}
+
+// progress reports cell completion on stderr; tables go to stdout.
+func progress[C any](id string) func(done, total int, c C) {
+	return func(done, total int, _ C) {
+		fmt.Fprintf(os.Stderr, "[%s %d/%d]\n", id, done, total)
+	}
 }
 
 // customize applies CLI overrides to a figure definition. Explicit
 // -threads/-sizes/-duration/-warmup win over -quick's shrinking (a 1-CPU
 // host would otherwise clip an explicitly requested sweep).
-func customize(fig harness.Figure, threads, sizes string, writers []int, duration, warmup time.Duration, stealF float64, quick bool) harness.Figure {
-	if stealF >= 0 {
-		fig.StealFraction = stealF
+func customize(fig harness.Figure, o options) harness.Figure {
+	if o.stealF >= 0 {
+		fig.StealFraction = o.stealF
 	}
 	// -writers only applies to figures that sweep multiple writers (the
-	// MN figure); forcing it onto the (1,N) figures would fail every
+	// MN figures); forcing it onto the (1,N) figures would fail every
 	// cell, which matters for `-figure all -writers N`. A single value
 	// replaces the figure's M; a list turns M into a sweep axis.
-	if len(writers) > 0 && fig.Writers > 0 {
-		if len(writers) == 1 {
-			fig.Writers = writers[0]
+	if len(o.writers) > 0 && fig.Writers > 0 {
+		if len(o.writers) == 1 {
+			fig.Writers = o.writers[0]
 			fig.WriterCounts = nil
 		} else {
-			fig.WriterCounts = writers
+			fig.WriterCounts = o.writers
 		}
 	}
-	if quick {
+	duration, warmup := o.duration, o.warmup
+	if o.quick {
 		maxTh := 2 * runtime.NumCPU()
 		if fig.ID == "fig3" {
 			maxTh = 64
@@ -199,11 +223,11 @@ func customize(fig harness.Figure, threads, sizes string, writers []int, duratio
 	}
 	fig.Duration = duration
 	fig.Warmup = warmup
-	if threads != "" {
-		fig.Threads = mustInts(threads)
+	if len(o.threads) > 0 {
+		fig.Threads = o.threads
 	}
-	if sizes != "" {
-		fig.Sizes = mustInts(sizes)
+	if len(o.sizes) > 0 {
+		fig.Sizes = o.sizes
 	}
 	return fig
 }
@@ -219,209 +243,116 @@ func maxWriters(fig harness.Figure) int {
 	return m
 }
 
-func runRMW(out io.Writer, threads string, writers, size int, duration, warmup time.Duration, quick bool) error {
-	th := []int{2, 4, 8, 16, 32}
-	if threads != "" {
-		th = mustInts(threads)
+// valueSize resolves -sizes for the figures that measure one value size
+// per run: the first entry wins.
+func valueSize(id string, sizes []int, def int) int {
+	if len(sizes) == 0 {
+		return def
 	}
-	if quick {
-		if threads == "" {
-			th = []int{2, 4}
-		}
-		duration = min(duration, 200*time.Millisecond)
-		warmup = min(warmup, 50*time.Millisecond)
+	if len(sizes) > 1 {
+		fmt.Fprintf(os.Stderr, "arcbench: %s figure measures one value size per run; using %d\n", id, sizes[0])
 	}
-	rep, err := harness.RunRMWComparison(th, size, duration, warmup)
-	if err != nil {
-		return err
-	}
-	rep.Render(out)
-
-	// The (M,N) composite rows: fresh-gated collect vs ablation. Reuse
-	// the thread sweep where it fits M writers + ≥1 reader, extending it
-	// with a minimal feasible deployment otherwise.
-	if writers <= 0 {
-		writers = 4
-	}
-	var mnTh []int
-	for _, t := range th {
-		if t >= writers+1 {
-			mnTh = append(mnTh, t)
-		}
-	}
-	if len(mnTh) == 0 {
-		mnTh = []int{writers + 1}
-	}
-	mnRep, err := harness.RunMNRMWComparison(mnTh, writers, size, duration, warmup)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "\n(M,N) composite, %d writers:\n", writers)
-	mnRep.Render(out)
-	return nil
+	return sizes[0]
 }
 
-// runMapFigure regenerates the keyed-workload figure (the regmap sharded
+// mapFigure configures the keyed-workload figure (the regmap sharded
 // snapshot map): thread sweep × key-count sweep, Zipf key popularity,
 // with optional delete-mix (-delete-every) and snapshot (-snapshot-every)
-// workloads. The shared -sizes and -steal overrides apply here too (the
-// map figure measures one value size per run; the first -sizes entry
-// wins).
-func runMapFigure(out io.Writer, csv *os.File, threads, keys, sizes string, shards, delEvery, snapEvery int, zipf, stealF float64, mode string, duration, warmup time.Duration, quick bool) error {
+// workloads. The shared -sizes and -steal overrides apply here too.
+func mapFigure(o options) (harness.MapFigure, error) {
 	fig := harness.FigMap()
-	m, err := workload.ParseMode(mode)
+	m, err := workload.ParseMode(o.mode)
 	if err != nil {
-		return err
+		return fig, err
 	}
 	fig.Mode = m
-	if shards > 0 {
-		fig.Shards = shards
+	if o.shards > 0 {
+		fig.Shards = o.shards
 	}
-	if delEvery >= 0 {
-		fig.DeleteEvery = delEvery
+	if o.delEvery >= 0 {
+		fig.DeleteEvery = o.delEvery
 	}
-	if snapEvery >= 0 {
-		fig.SnapshotEvery = snapEvery
+	if o.snapEvery >= 0 {
+		fig.SnapshotEvery = o.snapEvery
 	}
-	if zipf >= 0 {
-		fig.Zipf = zipf
+	if o.zipf >= 0 {
+		fig.Zipf = o.zipf
 	}
-	if stealF >= 0 {
-		fig.StealFraction = stealF
+	if o.stealF >= 0 {
+		fig.StealFraction = o.stealF
 	}
-	if sizes != "" {
-		sz := mustInts(sizes)
-		fig.ValueSize = sz[0]
-		if len(sz) > 1 {
-			fmt.Fprintf(os.Stderr, "arcbench: map figure measures one value size per run; using %d\n", sz[0])
-		}
-	}
-	if quick {
-		fig = fig.Scale(2*runtime.NumCPU(), min(duration, 200*time.Millisecond), min(warmup, 50*time.Millisecond))
+	fig.ValueSize = valueSize(fig.ID, o.sizes, fig.ValueSize)
+	if o.quick {
+		fig = fig.Scale(2*runtime.NumCPU(), min(o.duration, 200*time.Millisecond), min(o.warmup, 50*time.Millisecond))
 	} else {
-		fig.Duration = duration
-		fig.Warmup = warmup
+		fig.Duration = o.duration
+		fig.Warmup = o.warmup
 	}
-	if threads != "" {
-		fig.Threads = mustInts(threads)
+	if len(o.threads) > 0 {
+		fig.Threads = o.threads
 	}
-	if keys != "" {
-		fig.Keys = mustInts(keys)
+	if len(o.keys) > 0 {
+		fig.Keys = o.keys
 	}
-	progress := func(done, total int, c harness.MapCell) {
-		fmt.Fprintf(os.Stderr, "[%s %d/%d] keys=%d threads=%d: %.2f Mops/s (%.4f rmw/get)\n",
-			fig.ID, done, total, c.Keys, c.Threads, c.Result.Mops(), c.Result.RMWPerGet())
-	}
-	data, err := fig.Run(progress)
-	if err != nil {
-		return err
-	}
-	data.RenderTable(out)
-	if csv != nil {
-		data.RenderCSV(csv)
-	}
-	return nil
+	return fig, nil
 }
 
-// runWatchFigure regenerates the wakeup-latency figure: publish→observe
+// watchFigure configures the wakeup-latency figure: publish→observe
 // latency of parked watchers vs fixed-interval pollers, swept over
 // watcher counts (the notify subsystem's measurement; see DESIGN.md §8).
-func runWatchFigure(out io.Writer, csv *os.File, watchers, sizes string, pubEvery time.Duration, fanArity, fanDepth int, duration, warmup time.Duration, quick bool) error {
+func watchFigure(o options) harness.WatchFigure {
 	fig := harness.FigWatch()
-	if pubEvery > 0 {
-		fig.PublishEvery = pubEvery
+	if o.pubEvery > 0 {
+		fig.PublishEvery = o.pubEvery
 	}
-	if fanArity >= 0 {
-		fig.FanArity = fanArity
+	if o.fanArity >= 0 {
+		fig.FanArity = o.fanArity
 	}
-	if fanDepth >= 0 {
-		fig.FanDepth = fanDepth
+	if o.fanDepth >= 0 {
+		fig.FanDepth = o.fanDepth
 	}
-	if sizes != "" {
-		sz := mustInts(sizes)
-		fig.ValueSize = sz[0]
-		if len(sz) > 1 {
-			fmt.Fprintf(os.Stderr, "arcbench: watch figure measures one value size per run; using %d\n", sz[0])
-		}
-	}
-	if quick {
-		fig = fig.Scale(4, min(duration, 200*time.Millisecond), min(warmup, 50*time.Millisecond))
+	fig.ValueSize = valueSize(fig.ID, o.sizes, fig.ValueSize)
+	if o.quick {
+		fig = fig.Scale(4, min(o.duration, 200*time.Millisecond), min(o.warmup, 50*time.Millisecond))
 	} else {
-		fig.Duration = duration
-		fig.Warmup = warmup
+		fig.Duration = o.duration
+		fig.Warmup = o.warmup
 	}
-	if watchers != "" {
-		fig.Watchers = mustInts(watchers)
+	if len(o.watchers) > 0 {
+		fig.Watchers = o.watchers
 	}
-	progress := func(done, total int, c harness.WatchCell) {
-		fmt.Fprintf(os.Stderr, "[%s %d/%d] %s watchers=%d: %d observed, p99 %v, pub p99 %v, lag max %d, conflated %d\n",
-			fig.ID, done, total, c.Series(), c.Watchers, c.Result.Observed,
-			time.Duration(c.Result.Latency.Quantile(0.99)),
-			time.Duration(c.Result.PubOverhead.Quantile(0.99)),
-			c.Result.LagMax, c.Result.Conflated)
-	}
-	data, err := fig.Run(progress)
-	if err != nil {
-		return err
-	}
-	data.RenderTable(out)
-	if csv != nil {
-		data.RenderCSV(csv)
-	}
-	return nil
+	return fig
 }
 
-// runServeFigure regenerates the HTTP serving figure: a real arcserve
-// server on a loopback listener, swept over concurrent GET client
-// counts, reporting sustained req/s and publish→client-observe latency
-// through the SSE watch path (see DESIGN.md §11).
-func runServeFigure(out io.Writer, csv *os.File, clients, sizes string, pubEvery, duration, warmup time.Duration, quick bool) error {
+// serveFigure configures the HTTP serving figure: a real arcserve server
+// on a loopback listener, swept over concurrent GET client counts,
+// reporting sustained req/s and publish→client-observe latency through
+// the SSE watch path (see DESIGN.md §11).
+func serveFigure(o options) harness.ServeFigure {
 	fig := harness.FigServe()
-	if pubEvery > 0 {
-		fig.PublishEvery = pubEvery
+	if o.pubEvery > 0 {
+		fig.PublishEvery = o.pubEvery
 	}
-	if sizes != "" {
-		sz := mustInts(sizes)
-		fig.ValueSize = sz[0]
-		if len(sz) > 1 {
-			fmt.Fprintf(os.Stderr, "arcbench: serve figure measures one value size per run; using %d\n", sz[0])
-		}
-	}
-	if quick {
-		fig = fig.Scale(2*runtime.NumCPU(), min(duration, 300*time.Millisecond), min(warmup, 50*time.Millisecond))
+	fig.ValueSize = valueSize(fig.ID, o.sizes, fig.ValueSize)
+	if o.quick {
+		fig = fig.Scale(2*runtime.NumCPU(), min(o.duration, 300*time.Millisecond), min(o.warmup, 50*time.Millisecond))
 	} else {
-		fig.Duration = duration
-		fig.Warmup = warmup
+		fig.Duration = o.duration
+		fig.Warmup = o.warmup
 	}
-	if clients != "" {
-		fig.Clients = mustInts(clients)
+	if len(o.clients) > 0 {
+		fig.Clients = o.clients
 	}
-	progress := func(done, total int, c harness.ServeCell) {
-		fmt.Fprintf(os.Stderr, "[%s %d/%d] clients=%d: %.0f GET/s, get p99 %v, obs p99 %v, conflated %d\n",
-			fig.ID, done, total, c.Clients, c.Result.Rate(),
-			time.Duration(c.Result.GetLat.Quantile(0.99)),
-			time.Duration(c.Result.ObsLat.Quantile(0.99)),
-			c.Result.Conflated)
-	}
-	data, err := fig.Run(progress)
-	if err != nil {
-		return err
-	}
-	data.RenderTable(out)
-	if csv != nil {
-		data.RenderCSV(csv)
-	}
-	return nil
+	return fig
 }
 
-func runLatency(out io.Writer, threads, size int, stealF float64, duration, warmup time.Duration, quick bool) error {
-	if quick {
+// runLatency samples per-op latency for every algorithm at the first
+// -threads value (default 4).
+func runLatency(o options) (harness.LatencyReport, error) {
+	duration, warmup := o.duration, o.warmup
+	if o.quick {
 		duration = 200 * time.Millisecond
 		warmup = 50 * time.Millisecond
-	}
-	frac := 0.0
-	if stealF > 0 {
-		frac = stealF
 	}
 	algs := []harness.Algorithm{
 		harness.AlgARC, harness.AlgRF, harness.AlgPeterson,
@@ -431,41 +362,37 @@ func runLatency(out io.Writer, threads, size int, stealF float64, duration, warm
 		// latency is tracked alongside the raw algorithms.
 		harness.AlgMap,
 	}
-	rep, err := harness.RunLatencyComparison(algs, threads, size, frac, duration, warmup)
-	if err != nil {
-		return err
-	}
-	rep.Render(out)
-	return nil
+	return harness.RunLatencyComparison(algs, o.threads.first(4), o.size, max(o.stealF, 0), duration, warmup)
 }
 
-func singleRun(out io.Writer, alg string, threads, writers, size int, mode string, duration, warmup time.Duration, stealF float64, latencySample int) error {
-	a, err := harness.ParseAlgorithm(alg)
+func singleRun(out io.Writer, o options) error {
+	a, err := harness.ParseAlgorithm(o.alg)
 	if err != nil {
 		return err
 	}
-	m, err := workload.ParseMode(mode)
+	m, err := workload.ParseMode(o.mode)
 	if err != nil {
 		return err
 	}
+	writers := o.writers.first(0)
 	if writers == 0 && a.IsMN() {
 		writers = 4
 	}
 	cfg := harness.RunConfig{
 		Algorithm:     a,
-		Threads:       threads,
+		Threads:       o.threads.first(4),
 		Writers:       writers,
-		ValueSize:     size,
+		ValueSize:     o.size,
 		Mode:          m,
-		Duration:      duration,
-		Warmup:        warmup,
-		LatencySample: latencySample,
+		Duration:      o.duration,
+		Warmup:        o.warmup,
+		LatencySample: o.latency,
 	}
 	if a.IsMN() && cfg.Threads < cfg.Writers+1 {
 		cfg.Threads = cfg.Writers + 1
 	}
-	if stealF > 0 {
-		cfg.StealFraction = stealF
+	if o.stealF > 0 {
+		cfg.StealFraction = o.stealF
 	}
 	res, err := harness.Run(cfg)
 	if err != nil {
@@ -473,21 +400,18 @@ func singleRun(out io.Writer, alg string, threads, writers, size int, mode strin
 	}
 	if cfg.Writers > 1 {
 		fmt.Fprintf(out, "%s threads=%d writers=%d size=%d mode=%s steal=%.0f%%\n",
-			a, cfg.Threads, cfg.Writers, size, m, cfg.StealFraction*100)
+			a, cfg.Threads, cfg.Writers, cfg.ValueSize, m, cfg.StealFraction*100)
 	} else {
 		fmt.Fprintf(out, "%s threads=%d size=%d mode=%s steal=%.0f%%\n",
-			a, cfg.Threads, size, m, cfg.StealFraction*100)
+			a, cfg.Threads, cfg.ValueSize, m, cfg.StealFraction*100)
 	}
 	fmt.Fprintf(out, "  throughput: %s\n", res.Throughput())
-	// Per-op ratios use the protocol counters for both numerator and
-	// denominator: they cover the same operations (warmup included),
-	// unlike the measured-window op counts.
 	fmt.Fprintf(out, "  reads:  %d ops, %d RMW (%.4f/op), %d fast-path (%.1f%%)\n",
-		res.ReadOps, res.ReadStat.RMW, safeDiv(res.ReadStat.RMW, res.ReadStat.Ops),
-		res.ReadStat.FastPath, 100*safeDiv(res.ReadStat.FastPath, res.ReadStat.Ops))
+		res.ReadOps, res.ReadStat.RMW, res.RMWPerRead(),
+		res.ReadStat.FastPath, 100*res.FastPathShare())
 	fmt.Fprintf(out, "  writes: %d ops, %d RMW, %d scan steps (%.2f/op), %d hint hits\n",
 		res.WriteOps, res.WriteStat.RMW, res.WriteStat.ScanSteps,
-		safeDiv(res.WriteStat.ScanSteps, res.WriteStat.Ops), res.WriteStat.HintHits)
+		float64(res.WriteStat.ScanSteps)/float64(max(res.WriteStat.Ops, 1)), res.WriteStat.HintHits)
 	if res.Steal.Steals > 0 {
 		fmt.Fprintf(out, "  steal:  %d events, %v stolen\n", res.Steal.Steals, res.Steal.Stolen)
 	}
@@ -498,32 +422,42 @@ func singleRun(out io.Writer, alg string, threads, writers, size int, mode strin
 	return nil
 }
 
-func safeDiv(a, b uint64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return float64(a) / float64(b)
+// intList is a comma-separated integer flag; a k/K suffix means
+// thousands (1k = 1000, 10k = 10000), the way watcher sweeps are quoted.
+type intList []int
+
+func (l *intList) String() string { return fmt.Sprint([]int(*l)) }
+
+func (l *intList) Set(s string) error {
+	v, err := parseInts(s)
+	*l = v
+	return err
 }
 
-func mustInts(csv string) []int {
+// first returns the list's first value, or def when the flag is unset.
+func (l intList) first(def int) int {
+	if len(l) == 0 {
+		return def
+	}
+	return l[0]
+}
+
+func parseInts(csv string) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(csv, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
 			continue
 		}
-		// Accept a k/K suffix for thousands (1k = 1000, 10k = 10000) —
-		// the watcher sweeps are quoted that way.
 		mult := 1
 		if s := strings.TrimRight(part, "kK"); len(s) == len(part)-1 {
 			part, mult = s, 1000
 		}
 		n, err := strconv.Atoi(part)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "arcbench: bad integer %q\n", part)
-			os.Exit(2)
+			return nil, fmt.Errorf("bad integer %q", part)
 		}
 		out = append(out, n*mult)
 	}
-	return out
+	return out, nil
 }

@@ -10,7 +10,7 @@ import (
 func TestSingleRunOutput(t *testing.T) {
 	var sb strings.Builder
 	err := run([]string{
-		"-alg", "arc", "-nthreads", "3", "-size", "512",
+		"-alg", "arc", "-threads", "3", "-size", "512",
 		"-duration", "40ms", "-warmup", "10ms", "-latency-sample", "32",
 	}, &sb)
 	if err != nil {
@@ -84,7 +84,7 @@ func TestMNFigureQuick(t *testing.T) {
 
 func TestMNSingleRun(t *testing.T) {
 	var sb strings.Builder
-	err := run([]string{"-alg", "mn", "-writers", "2", "-nthreads", "4",
+	err := run([]string{"-alg", "mn", "-writers", "2", "-threads", "4",
 		"-size", "256", "-duration", "40ms", "-warmup", "10ms"}, &sb)
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestMapFigureQuick(t *testing.T) {
 
 func TestMapSingleRun(t *testing.T) {
 	var sb strings.Builder
-	err := run([]string{"-alg", "map", "-nthreads", "2", "-size", "256",
+	err := run([]string{"-alg", "map", "-threads", "2", "-size", "256",
 		"-duration", "30ms", "-warmup", "5ms"}, &sb)
 	if err != nil {
 		t.Fatal(err)
@@ -149,12 +149,35 @@ func TestMapSingleRun(t *testing.T) {
 
 func TestLatencyFigure(t *testing.T) {
 	var sb strings.Builder
-	err := run([]string{"-figure", "latency", "-quick", "-nthreads", "3", "-size", "256"}, &sb)
+	err := run([]string{"-figure", "latency", "-quick", "-threads", "3", "-size", "256"}, &sb)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "read p99") {
 		t.Fatalf("missing latency table:\n%s", sb.String())
+	}
+}
+
+// TestCSVCoversRMWAndLatency pins that -csv carries the experiments
+// that used to print text only.
+func TestCSVCoversRMWAndLatency(t *testing.T) {
+	for _, args := range [][]string{
+		{"-figure", "rmw", "-threads", "2,6", "-sizes", "256", "-duration", "30ms", "-warmup", "5ms"},
+		{"-figure", "latency", "-quick", "-threads", "3", "-size", "256"},
+	} {
+		csv := filepath.Join(t.TempDir(), "out.csv")
+		var sb strings.Builder
+		if err := run(append(args, "-csv", csv), &sb); err != nil {
+			t.Fatal(err)
+		}
+		blob, err := os.ReadFile(csv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(blob)), "\n")
+		if len(lines) < 2 || !strings.HasPrefix(lines[0], "figure,") {
+			t.Fatalf("%s: want a figure header and at least one row, got:\n%s", args[1], blob)
+		}
 	}
 }
 
@@ -169,16 +192,19 @@ func TestBadFlags(t *testing.T) {
 	if err := run([]string{"-mode", "bogus", "-alg", "arc"}, &sb); err == nil {
 		t.Error("unknown mode accepted")
 	}
+	if err := run([]string{"-figure", "fig1", "-threads", "2,x"}, &sb); err == nil {
+		t.Error("malformed -threads list accepted")
+	}
 }
 
 func TestMustInts(t *testing.T) {
-	got := mustInts("1, 2,3 ,")
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("mustInts = %v", got)
+	got, err := parseInts("1, 2,3 ,")
+	if err != nil || len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+		t.Fatalf("parseInts = %v, %v", got, err)
 	}
-	got = mustInts("1k, 10K,25")
-	if len(got) != 3 || got[0] != 1000 || got[1] != 10000 || got[2] != 25 {
-		t.Fatalf("mustInts with k suffix = %v", got)
+	got, err = parseInts("1k, 10K,25")
+	if err != nil || len(got) != 3 || got[0] != 1000 || got[1] != 10000 || got[2] != 25 {
+		t.Fatalf("parseInts with k suffix = %v, %v", got, err)
 	}
 }
 

@@ -103,7 +103,7 @@ func run() int {
 		duration = flag.Duration("duration", 10*time.Second, "stress duration (per scenario)")
 		stealF   = flag.Float64("steal", 0.3, "steal fraction for steal/mixed scenarios")
 		seed     = flag.Uint64("seed", 1, "seed for the map scenarios' fault schedules")
-		faultcov = flag.Bool("faultcov", false, "fail if any regmap, notify or serve fault point was never armed")
+		faultcov = flag.Bool("faultcov", false, "fail if any regmap, notify, serve or trace fault point was never armed")
 	)
 	flag.Parse()
 

@@ -2,7 +2,7 @@ package harness
 
 import (
 	"fmt"
-	"io"
+	"strings"
 	"time"
 
 	"arcreg/internal/workload"
@@ -164,6 +164,39 @@ func FigMN() Figure {
 	}
 }
 
+// FigRMW is the RMW-accounting experiment behind the paper's §1/§5
+// claim: RMW instructions per read for ARC, its fast-path ablation and
+// RF. RF pays one RMW per read by construction; ARC's count falls with
+// concurrency because more reads land on unchanged content. Render it
+// with FigureData.RMWTable.
+func FigRMW() Figure {
+	return Figure{
+		ID:         "rmw",
+		Caption:    "RMW accounting: RMW instructions per read, ARC vs RF",
+		Algorithms: []Algorithm{AlgARC, AlgARCNoFast, AlgRF},
+		Threads:    []int{2, 4, 8, 16, 32},
+		Sizes:      []int{4 * 1024},
+		Mode:       workload.Dummy,
+		Duration:   time.Second,
+		Warmup:     200 * time.Millisecond,
+	}
+}
+
+// FigRMWMN is the RMW-accounting experiment for the (M,N) composite:
+// the fresh-gated collect against its always-View ablation at M=4
+// writers. Composite ReadStats sum component RMW per composite read, so
+// its rmw/read is directly comparable to FigRMW's; a read-dominated
+// steady state shows ~0 for the gated collect. Render it with
+// FigureData.RMWTable.
+func FigRMWMN() Figure {
+	f := FigRMW()
+	f.ID = "rmw-mn"
+	f.Caption = "RMW accounting: (M,N) fresh-gated collect vs always-View ablation"
+	f.Algorithms = []Algorithm{AlgMN, AlgMNNoGate}
+	f.Writers = 4
+	return f
+}
+
 // FigureByID resolves a CLI name.
 func FigureByID(id string) (Figure, error) {
 	switch id {
@@ -308,88 +341,54 @@ func (d *FigureData) Series(alg Algorithm, size int) []Cell {
 	return out
 }
 
-// RenderTable writes the figure as one ASCII table per register size —
-// rows are thread counts, columns are algorithms, cells are Mops/s (the
-// paper's y-axis).
-func (d *FigureData) RenderTable(w io.Writer) {
+// figColumns is the throughput figures' schema: one row per (size,
+// threads, algorithm, M) cell, Mops/s plus the protocol counters.
+var figColumns = []field[Cell]{
+	key("size", "size", "%d", func(c Cell) any { return c.Size }),
+	key("threads", "threads", "%d", func(c Cell) any { return c.Threads }),
+	key("algorithm", "algorithm", "%s", func(c Cell) any { return c.Algorithm }),
+	key("writers", "M", "%d", func(c Cell) any { return c.Writers }),
+	metric("mops", "Mops/s", "%.4f", func(c Cell) any { return c.Result.Mops() }),
+	metric("read_ops", "reads", "%d", func(c Cell) any { return c.Result.ReadOps }),
+	metric("write_ops", "writes", "%d", func(c Cell) any { return c.Result.WriteOps }),
+	metric("read_rmw", "read rmw", "%d", func(c Cell) any { return c.Result.ReadStat.RMW }),
+	metric("read_fastpath", "fastpath", "%d", func(c Cell) any { return c.Result.ReadStat.FastPath }),
+	metric("write_scan_steps", "scan steps", "%d", func(c Cell) any { return c.Result.WriteStat.ScanSteps }),
+	metric("hint_hits", "hint hits", "%d", func(c Cell) any { return c.Result.WriteStat.HintHits }),
+	metric("steal_events", "steals", "%d", func(c Cell) any { return c.Result.Steal.Steals }),
+}
+
+// rmwColumns is the RMW-accounting schema (FigRMW, FigRMWMN). Size and
+// M lead it because -sizes and -writers can sweep them.
+var rmwColumns = []field[Cell]{
+	key("size", "size", "%d", func(c Cell) any { return c.Size }),
+	key("threads", "threads", "%d", func(c Cell) any { return c.Threads }),
+	key("algorithm", "algorithm", "%s", func(c Cell) any { return c.Algorithm }),
+	key("writers", "M", "%d", func(c Cell) any { return c.Writers }),
+	key("waitfree", "waitfree", "%s", func(c Cell) any { return c.Algorithm.WaitFreeLabel() }),
+	metric("reads", "reads", "%d", func(c Cell) any { return c.Result.ReadStat.Ops }),
+	metric("rmw_per_read", "rmw/read", "%.4f", func(c Cell) any { return c.Result.RMWPerRead() }),
+	metric("fastpath_pct", "fastpath%", "%.1f", func(c Cell) any { return 100 * c.Result.FastPathShare() }),
+	metric("rmw_per_write", "rmw/write", "%.2f", func(c Cell) any { return c.Result.RMWPerWrite() }),
+}
+
+// Table is the figure's result: one row per cell, Mops/s (the paper's
+// y-axis) plus the protocol counters.
+func (d *FigureData) Table() Table { return d.table(figColumns) }
+
+// RMWTable is the figure's result in the RMW-accounting schema.
+func (d *FigureData) RMWTable() Table { return d.table(rmwColumns) }
+
+func (d *FigureData) table(fields []field[Cell]) Table {
 	f := d.Figure
-	fmt.Fprintf(w, "== %s: %s ==\n", f.ID, f.Caption)
-	wcs := f.writerCounts()
-	sweep := len(wcs) > 1
-	if sweep {
-		fmt.Fprintf(w, "mode=%s writers=%s steal=%.0f%% duration=%v\n", f.Mode, fmtInts(wcs), f.StealFraction*100, f.Duration)
-	} else {
-		fmt.Fprintf(w, "mode=%s writers=%d steal=%.0f%% duration=%v\n", f.Mode, wcs[0], f.StealFraction*100, f.Duration)
+	sizes := make([]string, len(f.Sizes))
+	for i, s := range f.Sizes {
+		sizes[i] = fmtSize(s)
 	}
-	for _, size := range f.Sizes {
-		fmt.Fprintf(w, "\n-- register size %s --\n", fmtSize(size))
-		fmt.Fprintf(w, "%8s", "threads")
-		if sweep {
-			fmt.Fprintf(w, " %4s", "M")
-		}
-		for _, alg := range f.Algorithms {
-			fmt.Fprintf(w, " %14s", alg)
-		}
-		fmt.Fprintln(w)
-		for _, wc := range wcs {
-			for _, th := range f.Threads {
-				fmt.Fprintf(w, "%8d", th)
-				if sweep {
-					fmt.Fprintf(w, " %4d", wc)
-				}
-				for _, alg := range f.Algorithms {
-					c := d.cell(alg, th, size, wc)
-					switch {
-					case c == nil:
-						fmt.Fprintf(w, " %14s", "-")
-					case c.Err != nil:
-						fmt.Fprintf(w, " %14s", "n/a")
-					default:
-						fmt.Fprintf(w, " %14.2f", c.Result.Mops())
-					}
-				}
-				fmt.Fprintln(w)
-			}
-		}
-	}
-	fmt.Fprintln(w)
-}
-
-func fmtInts(xs []int) string {
-	s := ""
-	for i, x := range xs {
-		if i > 0 {
-			s += ","
-		}
-		s += fmt.Sprintf("%d", x)
-	}
-	return s
-}
-
-// RenderCSV writes the figure in long form:
-// figure,size,threads,algorithm,writers,mops,read_ops,write_ops,…
-func (d *FigureData) RenderCSV(w io.Writer) {
-	fmt.Fprintln(w, "figure,size,threads,algorithm,writers,mops,read_ops,write_ops,read_rmw,read_fastpath,write_scan_steps,hint_hits,steal_events")
-	for _, c := range d.Cells {
-		if c.Err != nil {
-			continue
-		}
-		r := c.Result
-		fmt.Fprintf(w, "%s,%d,%d,%s,%d,%.4f,%d,%d,%d,%d,%d,%d,%d\n",
-			d.Figure.ID, c.Size, c.Threads, c.Algorithm, c.Writers, r.Mops(),
-			r.ReadOps, r.WriteOps, r.ReadStat.RMW, r.ReadStat.FastPath,
-			r.WriteStat.ScanSteps, r.WriteStat.HintHits, r.Steal.Steals)
-	}
-}
-
-func (d *FigureData) cell(alg Algorithm, threads, size, writers int) *Cell {
-	for i := range d.Cells {
-		c := &d.Cells[i]
-		if c.Algorithm == alg && c.Threads == threads && c.Size == size && c.Writers == writers {
-			return c
-		}
-	}
-	return nil
+	writers := strings.ReplaceAll(strings.Trim(fmt.Sprint(f.writerCounts()), "[]"), " ", ",")
+	settings := fmt.Sprintf("mode=%s sizes=%s writers=%s steal=%.0f%% duration=%v",
+		f.Mode, strings.Join(sizes, ","), writers, f.StealFraction*100, f.Duration)
+	return newTable(f.ID, f.Caption, settings, fields, d.Cells, func(c Cell) error { return c.Err })
 }
 
 func fmtSize(n int) string {

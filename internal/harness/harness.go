@@ -305,6 +305,24 @@ func (r Result) Throughput() metrics.Throughput {
 // Mops is shorthand for Throughput().Mops().
 func (r Result) Mops() float64 { return r.Throughput().Mops() }
 
+// RMWPerRead is the average RMW instructions per read. The RMW ratios
+// divide the protocol counters by their own op counts: both cover the
+// same operations (warmup included), unlike the measured-window ReadOps.
+func (r Result) RMWPerRead() float64 { return ratio(r.ReadStat.RMW, r.ReadStat.Ops) }
+
+// FastPathShare is the fraction of reads served with zero RMW.
+func (r Result) FastPathShare() float64 { return ratio(r.ReadStat.FastPath, r.ReadStat.Ops) }
+
+// RMWPerWrite is the average RMW instructions per write.
+func (r Result) RMWPerWrite() float64 { return ratio(r.WriteStat.RMW, r.WriteStat.Ops) }
+
+func ratio(a, b uint64) float64 {
+	if b == 0 {
+		return 0
+	}
+	return float64(a) / float64(b)
+}
+
 // run phases.
 const (
 	phaseWarmup = iota

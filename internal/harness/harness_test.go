@@ -226,14 +226,14 @@ func TestFigureRunAndRender(t *testing.T) {
 	}
 
 	var tbl strings.Builder
-	data.RenderTable(&tbl)
+	data.Table().WriteText(&tbl)
 	for _, want := range []string{"smoke figure", "threads", "arc", "rf", "256B"} {
 		if !strings.Contains(tbl.String(), want) {
 			t.Fatalf("table missing %q:\n%s", want, tbl.String())
 		}
 	}
 	var csv strings.Builder
-	data.RenderCSV(&csv)
+	data.Table().WriteCSV(&csv)
 	lines := strings.Split(strings.TrimSpace(csv.String()), "\n")
 	if len(lines) != 5 { // header + 4 cells
 		t.Fatalf("csv lines = %d:\n%s", len(lines), csv.String())
@@ -262,23 +262,28 @@ func TestFigureInfeasibleCells(t *testing.T) {
 		t.Fatalf("expected one infeasible cell, got %+v", data.Cells)
 	}
 	var tbl strings.Builder
-	data.RenderTable(&tbl)
+	data.Table().WriteText(&tbl)
 	if !strings.Contains(tbl.String(), "n/a") {
 		t.Fatalf("table does not mark infeasible cell:\n%s", tbl.String())
 	}
 }
 
 func TestRMWComparison(t *testing.T) {
-	rep, err := RunRMWComparison([]int{3}, 512, 40*time.Millisecond, 10*time.Millisecond)
+	fig := FigRMW()
+	fig.Threads = []int{3}
+	fig.Sizes = []int{512}
+	fig.Duration = 40 * time.Millisecond
+	fig.Warmup = 10 * time.Millisecond
+	data, err := fig.Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Rows) != 3 {
-		t.Fatalf("rows = %d, want 3 (arc, arc-nofastpath, rf)", len(rep.Rows))
+	if len(data.Cells) != 3 {
+		t.Fatalf("rows = %d, want 3 (arc, arc-nofastpath, rf)", len(data.Cells))
 	}
-	byAlg := map[Algorithm]RMWRow{}
-	for _, r := range rep.Rows {
-		byAlg[r.Algorithm] = r
+	byAlg := map[Algorithm]Result{}
+	for _, c := range data.Cells {
+		byAlg[c.Algorithm] = c.Result
 	}
 	if rf := byAlg[AlgRF]; rf.RMWPerRead() < 0.999 {
 		t.Errorf("RF rmw/read = %v, want 1", rf.RMWPerRead())
@@ -291,7 +296,7 @@ func TestRMWComparison(t *testing.T) {
 		t.Errorf("ablated ARC shows fast-path reads")
 	}
 	var sb strings.Builder
-	rep.Render(&sb)
+	data.RMWTable().WriteText(&sb)
 	if !strings.Contains(sb.String(), "rmw/read") {
 		t.Fatalf("render missing header:\n%s", sb.String())
 	}
@@ -332,7 +337,7 @@ func TestLatencyComparison(t *testing.T) {
 		}
 	}
 	var sb strings.Builder
-	rep.Render(&sb)
+	rep.Table().WriteText(&sb)
 	for _, want := range []string{"read p99", "arc", "lock"} {
 		if !strings.Contains(sb.String(), want) {
 			t.Fatalf("render missing %q:\n%s", want, sb.String())

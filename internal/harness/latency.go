@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"arcreg/internal/metrics"
@@ -64,18 +63,21 @@ func RunLatencyComparison(algs []Algorithm, threads, size int, stealFrac float64
 	return rep, nil
 }
 
-// Render writes the report as an ASCII table (nanoseconds).
-func (rep LatencyReport) Render(w io.Writer) {
-	fmt.Fprintf(w, "== per-operation latency (size %s, steal %.0f%%, window %v) ==\n",
-		fmtSize(rep.Size), rep.Steal*100, rep.Duration)
-	fmt.Fprintf(w, "%12s %9s %8s %12s %12s %12s %12s %12s %12s\n",
-		"algorithm", "waitfree", "threads", "read p50", "read p99", "read max", "write p50", "write p99", "write max")
-	for _, r := range rep.Rows {
-		fmt.Fprintf(w, "%12s %9s %8d %12s %12s %12s %12s %12s %12s\n",
-			r.Algorithm, r.Algorithm.WaitFreeLabel(), r.Threads,
-			metrics.Duration(r.ReadLat.Quantile(0.5)), metrics.Duration(r.ReadLat.Quantile(0.99)),
-			time.Duration(r.ReadLat.Max()),
-			metrics.Duration(r.WriteLat.Quantile(0.5)), metrics.Duration(r.WriteLat.Quantile(0.99)),
-			time.Duration(r.WriteLat.Max()))
-	}
+// latencyColumns is the latency experiment's schema (nanoseconds).
+var latencyColumns = []field[LatencyRow]{
+	key("algorithm", "algorithm", "%s", func(r LatencyRow) any { return r.Algorithm }),
+	key("waitfree", "waitfree", "%s", func(r LatencyRow) any { return r.Algorithm.WaitFreeLabel() }),
+	key("threads", "threads", "%d", func(r LatencyRow) any { return r.Threads }),
+	metric("read_p50_ns", "read p50 ns", "%.0f", func(r LatencyRow) any { return r.ReadLat.Quantile(0.5) }),
+	metric("read_p99_ns", "read p99 ns", "%.0f", func(r LatencyRow) any { return r.ReadLat.Quantile(0.99) }),
+	metric("read_max_ns", "read max ns", "%d", func(r LatencyRow) any { return r.ReadLat.Max() }),
+	metric("write_p50_ns", "write p50 ns", "%.0f", func(r LatencyRow) any { return r.WriteLat.Quantile(0.5) }),
+	metric("write_p99_ns", "write p99 ns", "%.0f", func(r LatencyRow) any { return r.WriteLat.Quantile(0.99) }),
+	metric("write_max_ns", "write max ns", "%d", func(r LatencyRow) any { return r.WriteLat.Max() }),
+}
+
+// Table is the report's result: one row per algorithm.
+func (rep LatencyReport) Table() Table {
+	settings := fmt.Sprintf("size=%s steal=%.0f%% duration=%v", fmtSize(rep.Size), rep.Steal*100, rep.Duration)
+	return newTable("latency", "per-operation latency", settings, latencyColumns, rep.Rows, nil)
 }

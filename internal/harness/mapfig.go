@@ -11,7 +11,6 @@ package harness
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -129,12 +128,7 @@ func (r MapResult) Mops() float64 { return r.Throughput().Mops() }
 
 // RMWPerGet is the average RMW instructions per Get — ~0 when the
 // fresh-gate holds through the map layer.
-func (r MapResult) RMWPerGet() float64 {
-	if r.ReadStat.Ops == 0 {
-		return 0
-	}
-	return float64(r.ReadStat.RMW) / float64(r.ReadStat.Ops)
-}
+func (r MapResult) RMWPerGet() float64 { return ratio(r.ReadStat.RMW, r.ReadStat.Ops) }
 
 // RunMap executes one measured keyed deployment: the map is
 // pre-populated with cfg.Keys keys, then 1 writer Sets and Threads−1
@@ -349,11 +343,8 @@ type MapFigureData struct {
 	Cells  []MapCell
 }
 
-// MapProgress receives cell-completion callbacks (nil to disable).
-type MapProgress func(done, total int, c MapCell)
-
 // Run measures every cell of the figure.
-func (f MapFigure) Run(progress MapProgress) (MapFigureData, error) {
+func (f MapFigure) Run(progress func(done, total int, c MapCell)) (MapFigureData, error) {
 	data := MapFigureData{Figure: f}
 	total := len(f.Keys) * len(f.Threads)
 	done := 0
@@ -392,61 +383,33 @@ func (f MapFigure) Run(progress MapProgress) (MapFigureData, error) {
 	return data, nil
 }
 
-// RenderTable writes the figure as two ASCII tables — throughput
-// (Mops/s) and rmw/get — rows are thread counts, columns key counts.
-func (d *MapFigureData) RenderTable(w io.Writer) {
+// mapColumns is the map figure's schema: one row per (keys, threads)
+// cell.
+var mapColumns = []field[MapCell]{
+	key("keys", "keys", "%d", func(c MapCell) any { return c.Keys }),
+	key("threads", "threads", "%d", func(c MapCell) any { return c.Threads }),
+	metric("mops", "Mops/s", "%.4f", func(c MapCell) any { return c.Result.Mops() }),
+	metric("get_ops", "gets", "%d", func(c MapCell) any { return c.Result.GetOps }),
+	metric("set_ops", "sets", "%d", func(c MapCell) any { return c.Result.SetOps }),
+	metric("rmw", "rmw", "%d", func(c MapCell) any { return c.Result.ReadStat.RMW }),
+	metric("rmw_per_get", "rmw/get", "%.4f", func(c MapCell) any { return c.Result.RMWPerGet() }),
+	metric("fastpath", "fastpath", "%d", func(c MapCell) any { return c.Result.ReadStat.FastPath }),
+	metric("misses", "misses", "%d", func(c MapCell) any { return c.Result.ReadStat.Misses }),
+	metric("dir_refreshes", "dir refreshes", "%d", func(c MapCell) any { return c.Result.ReadStat.DirRefreshes }),
+	metric("keys_created", "created", "%d", func(c MapCell) any { return c.Result.KeysCreated }),
+	metric("keys_deleted", "deleted", "%d", func(c MapCell) any { return c.Result.KeysDeleted }),
+	metric("snapshots", "snapshots", "%d", func(c MapCell) any { return c.Result.Snapshots }),
+	metric("snapshot_retries", "snap retries", "%d", func(c MapCell) any { return c.Result.ReadStat.SnapshotRetries }),
+	metric("compactions", "compactions", "%d", func(c MapCell) any { return c.Result.WriteStat.Compactions }),
+	metric("dir_bytes", "dir bytes", "%d", func(c MapCell) any { return c.Result.WriteStat.DirBytes }),
+	metric("repairs", "repairs", "%d", func(c MapCell) any { return c.Result.ReadStat.Repairs }),
+}
+
+// Table is the figure's result: one row per cell, Mops/s and rmw/get
+// plus the map's lifecycle counters.
+func (d *MapFigureData) Table() Table {
 	f := d.Figure
-	fmt.Fprintf(w, "== %s: %s ==\n", f.ID, f.Caption)
-	fmt.Fprintf(w, "mode=%s value=%s zipf=%.2f shards=%d churn=1/%d deletes=1/%d snapshots=1/%d steal=%.0f%% duration=%v\n",
+	settings := fmt.Sprintf("mode=%s value=%s zipf=%.2f shards=%d churn=1/%d deletes=1/%d snapshots=1/%d steal=%.0f%% duration=%v",
 		f.Mode, fmtSize(f.ValueSize), f.Zipf, f.Shards, f.ChurnEvery, f.DeleteEvery, f.SnapshotEvery, f.StealFraction*100, f.Duration)
-	render := func(title string, metric func(MapResult) float64, format string) {
-		fmt.Fprintf(w, "\n-- %s --\n", title)
-		fmt.Fprintf(w, "%8s", "threads")
-		for _, k := range f.Keys {
-			fmt.Fprintf(w, " %14s", fmt.Sprintf("%d keys", k))
-		}
-		fmt.Fprintln(w)
-		for _, th := range f.Threads {
-			fmt.Fprintf(w, "%8d", th)
-			for _, k := range f.Keys {
-				c := d.cell(th, k)
-				if c == nil {
-					fmt.Fprintf(w, " %14s", "-")
-					continue
-				}
-				fmt.Fprintf(w, format, metric(c.Result))
-			}
-			fmt.Fprintln(w)
-		}
-	}
-	render("throughput (Mops/s)", MapResult.Mops, " %14.2f")
-	render("rmw/get", MapResult.RMWPerGet, " %14.4f")
-	fmt.Fprintln(w)
-}
-
-// RenderCSV writes the figure in long form.
-func (d *MapFigureData) RenderCSV(w io.Writer) {
-	fmt.Fprintln(w, "figure,keys,threads,mops,get_ops,set_ops,rmw,fastpath,misses,dir_refreshes,keys_created,keys_deleted,snapshots,snapshot_retries,compactions,dir_bytes,repairs")
-	for _, c := range d.Cells {
-		if c.Err != nil {
-			continue
-		}
-		r := c.Result
-		fmt.Fprintf(w, "%s,%d,%d,%.4f,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
-			d.Figure.ID, c.Keys, c.Threads, r.Mops(),
-			r.GetOps, r.SetOps, r.ReadStat.RMW, r.ReadStat.FastPath,
-			r.ReadStat.Misses, r.ReadStat.DirRefreshes, r.KeysCreated,
-			r.KeysDeleted, r.Snapshots, r.ReadStat.SnapshotRetries,
-			r.WriteStat.Compactions, r.WriteStat.DirBytes, r.ReadStat.Repairs)
-	}
-}
-
-func (d *MapFigureData) cell(threads, keys int) *MapCell {
-	for i := range d.Cells {
-		c := &d.Cells[i]
-		if c.Threads == threads && c.Keys == keys {
-			return c
-		}
-	}
-	return nil
+	return newTable(f.ID, f.Caption, settings, mapColumns, d.Cells, func(c MapCell) error { return c.Err })
 }

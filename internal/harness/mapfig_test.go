@@ -102,14 +102,23 @@ func TestMapFigureRunAndRender(t *testing.T) {
 		t.Fatalf("cells = %d, want 2", len(data.Cells))
 	}
 	var tbl strings.Builder
-	data.RenderTable(&tbl)
-	for _, want := range []string{"== map:", "4 keys", "16 keys", "rmw/get", "zipf=1.20"} {
+	data.Table().WriteText(&tbl)
+	for _, want := range []string{"== map:", "rmw/get", "zipf=1.20"} {
 		if !strings.Contains(tbl.String(), want) {
 			t.Fatalf("table missing %q:\n%s", want, tbl.String())
 		}
 	}
+	rowKeys := map[any]bool{}
+	for _, r := range data.Table().Rows {
+		rowKeys[r.Values[0]] = true
+	}
+	for _, k := range []int{4, 16} {
+		if !rowKeys[k] {
+			t.Fatalf("table has no keys=%d row:\n%s", k, tbl.String())
+		}
+	}
 	var csv strings.Builder
-	data.RenderCSV(&csv)
+	data.Table().WriteCSV(&csv)
 	lines := strings.Split(strings.TrimSpace(csv.String()), "\n")
 	if len(lines) != 3 { // header + 2 cells
 		t.Fatalf("csv lines = %d:\n%s", len(lines), csv.String())

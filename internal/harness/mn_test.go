@@ -120,7 +120,7 @@ func TestFigMNRunAndRender(t *testing.T) {
 		t.Fatalf("infeasible=%d measured=%d, want 2/2", infeasible, measured)
 	}
 	var sb strings.Builder
-	data.RenderTable(&sb)
+	data.Table().WriteText(&sb)
 	if !strings.Contains(sb.String(), "writers=2") || !strings.Contains(sb.String(), "mn-nogate") {
 		t.Fatalf("table missing MN columns:\n%s", sb.String())
 	}
@@ -154,7 +154,7 @@ func TestFigMNWriterSweep(t *testing.T) {
 		t.Fatalf("cells per M = %v, want 2 each", byM)
 	}
 	var sb strings.Builder
-	data.RenderTable(&sb)
+	data.Table().WriteText(&sb)
 	out := sb.String()
 	for _, want := range []string{"writers=1,2", " M", "mn-nogate"} {
 		if !strings.Contains(out, want) {
@@ -162,7 +162,7 @@ func TestFigMNWriterSweep(t *testing.T) {
 		}
 	}
 	var csv strings.Builder
-	data.RenderCSV(&csv)
+	data.Table().WriteCSV(&csv)
 	if !strings.Contains(csv.String(), "mn,256,3,mn,2,") {
 		t.Fatalf("csv missing M=2 row:\n%s", csv.String())
 	}
@@ -190,25 +190,37 @@ func TestFigWriterSweepInfeasibleForSingleWriterAlg(t *testing.T) {
 }
 
 func TestMNRMWComparison(t *testing.T) {
-	rep, err := RunMNRMWComparison([]int{2, 4}, 2, 256, 40*time.Millisecond, 5*time.Millisecond)
+	fig := FigRMWMN()
+	fig.Threads = []int{2, 4}
+	fig.Writers = 2
+	fig.Sizes = []int{256}
+	fig.Duration = 40 * time.Millisecond
+	fig.Warmup = 5 * time.Millisecond
+	data, err := fig.Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// threads=2 leaves no reader and is skipped; threads=4 yields one row
-	// per variant.
-	if len(rep.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(rep.Rows))
+	// threads=2 leaves no reader and is infeasible; threads=4 yields one
+	// measured row per variant.
+	var rows []Cell
+	for _, c := range data.Cells {
+		if c.Err == nil {
+			rows = append(rows, c)
+		}
 	}
-	for _, row := range rep.Rows {
+	if len(rows) != 2 {
+		t.Fatalf("rows = %d, want 2", len(rows))
+	}
+	for _, row := range rows {
 		if row.Threads != 4 {
 			t.Errorf("row threads = %d", row.Threads)
 		}
-		if row.ReadOps == 0 {
+		if row.Result.ReadStat.Ops == 0 {
 			t.Errorf("%s: no reads accounted", row.Algorithm)
 		}
 	}
 	var sb strings.Builder
-	rep.Render(&sb)
+	data.RMWTable().WriteText(&sb)
 	if !strings.Contains(sb.String(), "mn-nogate") {
 		t.Fatalf("render missing mn rows:\n%s", sb.String())
 	}

@@ -476,45 +476,31 @@ func (f ServeFigure) Run(progress func(done, total int, c ServeCell)) (ServeData
 	return data, nil
 }
 
-// RenderTable writes the figure as an ASCII table.
-func (d ServeData) RenderTable(w io.Writer) {
+// Table is the figure's result: one row per client count.
+func (d ServeData) Table() Table {
 	f := d.Figure
-	fmt.Fprintf(w, "== loopback serving: GET req/s and publish→client-observe latency (publish every %v, value %dB, %d keys, %d watchers, window %v) ==\n",
+	columns := []field[ServeCell]{
+		key("clients", "clients", "%d", func(c ServeCell) any { return c.Clients }),
+		key("watchers", "watchers", "%d", func(ServeCell) any { return f.Watchers }),
+		key("keys", "keys", "%d", func(ServeCell) any { return f.Keys }),
+		key("value_size", "value", "%d", func(ServeCell) any { return f.ValueSize }),
+		metric("window_ms", "window ms", "%.0f", func(c ServeCell) any { return float64(c.Result.Elapsed) / float64(time.Millisecond) }),
+		metric("gets", "gets", "%d", func(c ServeCell) any { return c.Result.Gets }),
+		metric("get_rps", "get req/s", "%.0f", func(c ServeCell) any { return c.Result.Rate() }),
+		metric("get_p50_ns", "get p50 ns", "%.0f", func(c ServeCell) any { return c.Result.GetLat.Quantile(0.5) }),
+		metric("get_p99_ns", "get p99 ns", "%.0f", func(c ServeCell) any { return c.Result.GetLat.Quantile(0.99) }),
+		metric("puts", "puts", "%d", func(c ServeCell) any { return c.Result.Puts }),
+		metric("observed", "observed", "%d", func(c ServeCell) any { return c.Result.Observed }),
+		metric("obs_p50_ns", "obs p50 ns", "%.0f", func(c ServeCell) any { return c.Result.ObsLat.Quantile(0.5) }),
+		metric("obs_p99_ns", "obs p99 ns", "%.0f", func(c ServeCell) any { return c.Result.ObsLat.Quantile(0.99) }),
+		metric("obs_max_ns", "obs max ns", "%d", func(c ServeCell) any { return c.Result.ObsLat.Max() }),
+		metric("shed", "shed", "%d", func(c ServeCell) any { return c.Result.Shed }),
+		metric("conflated", "conflated", "%d", func(c ServeCell) any { return c.Result.Conflated }),
+		metric("cascade_p99_ns", "cascade p99 ns", "%.0f", func(c ServeCell) any { return c.Result.CascadeLat.Quantile(0.99) }),
+		metric("conflate_drops", "drops", "%d", func(c ServeCell) any { return c.Result.ConflateDrops }),
+		metric("flush_p99_ns", "flush p99 ns", "%.0f", func(c ServeCell) any { return c.Result.FlushLat.Quantile(0.99) }),
+	}
+	settings := fmt.Sprintf("publish_every=%v value=%dB keys=%d watchers=%d duration=%v",
 		f.PublishEvery, f.ValueSize, f.Keys, f.Watchers, f.Duration)
-	fmt.Fprintf(w, "%8s %10s %12s %10s %10s %8s %12s %12s %12s %8s %10s %12s %12s %10s\n",
-		"clients", "gets", "get req/s", "get p50", "get p99", "puts",
-		"obs p50", "obs p99", "obs max", "shed", "conflated",
-		"cascade p99", "flush p99", "drops")
-	for _, c := range d.Cells {
-		r := c.Result
-		fmt.Fprintf(w, "%8d %10d %12.0f %10s %10s %8d %12s %12s %12s %8d %10d %12s %12s %10d\n",
-			c.Clients, r.Gets, r.Rate(),
-			metrics.Duration(r.GetLat.Quantile(0.5)),
-			metrics.Duration(r.GetLat.Quantile(0.99)),
-			r.Puts,
-			metrics.Duration(r.ObsLat.Quantile(0.5)),
-			metrics.Duration(r.ObsLat.Quantile(0.99)),
-			time.Duration(r.ObsLat.Max()),
-			r.Shed, r.Conflated,
-			metrics.Duration(r.CascadeLat.Quantile(0.99)),
-			metrics.Duration(r.FlushLat.Quantile(0.99)),
-			r.ConflateDrops)
-	}
-}
-
-// RenderCSV appends machine-readable rows.
-func (d ServeData) RenderCSV(w io.Writer) {
-	fmt.Fprintln(w, "figure,clients,watchers,keys,value_size,window_ms,gets,get_rps,get_p50_ns,get_p99_ns,puts,observed,obs_p50_ns,obs_p99_ns,obs_max_ns,shed,conflated,cascade_p99_ns,conflate_drops,flush_p99_ns")
-	for _, c := range d.Cells {
-		r := c.Result
-		fmt.Fprintf(w, "%s,%d,%d,%d,%d,%.0f,%d,%.0f,%.0f,%.0f,%d,%d,%.0f,%.0f,%d,%d,%d,%.0f,%d,%.0f\n",
-			d.Figure.ID, c.Clients, d.Figure.Watchers, d.Figure.Keys, d.Figure.ValueSize,
-			float64(r.Elapsed)/float64(time.Millisecond),
-			r.Gets, r.Rate(),
-			r.GetLat.Quantile(0.5), r.GetLat.Quantile(0.99),
-			r.Puts, r.Observed,
-			r.ObsLat.Quantile(0.5), r.ObsLat.Quantile(0.99), r.ObsLat.Max(),
-			r.Shed, r.Conflated,
-			r.CascadeLat.Quantile(0.99), r.ConflateDrops, r.FlushLat.Quantile(0.99))
-	}
+	return newTable(f.ID, "loopback serving: GET req/s and publish→client-observe latency", settings, columns, d.Cells, func(c ServeCell) error { return c.Err })
 }

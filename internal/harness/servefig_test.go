@@ -43,11 +43,11 @@ func TestServeFigureSmoke(t *testing.T) {
 	}
 
 	var tbl, csv strings.Builder
-	data.RenderTable(&tbl)
+	data.Table().WriteText(&tbl)
 	if !strings.Contains(tbl.String(), "get req/s") {
 		t.Errorf("table missing rate column:\n%s", tbl.String())
 	}
-	data.RenderCSV(&csv)
+	data.Table().WriteCSV(&csv)
 	lines := strings.Split(strings.TrimSpace(csv.String()), "\n")
 	if len(lines) != 1+len(data.Cells) {
 		t.Fatalf("CSV has %d lines, want header + %d rows", len(lines), len(data.Cells))

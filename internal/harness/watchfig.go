@@ -17,7 +17,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -512,45 +511,33 @@ func (f WatchFigure) Run(progress func(done, total int, c WatchCell)) (WatchData
 	return data, nil
 }
 
-// RenderTable writes the figure as an ASCII table.
-func (d WatchData) RenderTable(w io.Writer) {
+// Table is the figure's result: one row per (series, watchers) cell.
+// New columns go at the end: CI's smoke grep matches a run of this
+// header, and downstream plotting scripts index by name.
+func (d WatchData) Table() Table {
 	f := d.Figure
-	fmt.Fprintf(w, "== publish→observe wakeup latency (publish every %v, value %dB, window %v, %d slow consumer(s) +%v) ==\n",
-		f.PublishEvery, f.ValueSize, f.Duration, f.SlowConsumers, f.SlowDelay)
-	fmt.Fprintf(w, "%12s %9s %10s %10s %12s %12s %12s %10s %10s %8s %8s %10s %9s %12s %10s\n",
-		"series", "watchers", "published", "observed", "lat p50", "lat p99", "lat max",
-		"pub p50", "pub p99", "lag p50", "lag max", "conflated", "wakeups",
-		"cascade p99", "drops")
-	for _, c := range d.Cells {
-		r := c.Result
-		fmt.Fprintf(w, "%12s %9d %10d %10d %12s %12s %12s %10s %10s %8d %8d %10d %9d %12s %10d\n",
-			c.Series(), c.Watchers, r.Published, r.Observed,
-			metrics.Duration(r.Latency.Quantile(0.5)),
-			metrics.Duration(r.Latency.Quantile(0.99)),
-			time.Duration(r.Latency.Max()),
-			metrics.Duration(r.PubOverhead.Quantile(0.5)),
-			metrics.Duration(r.PubOverhead.Quantile(0.99)),
-			r.LagP50, r.LagMax, r.Conflated, r.Wakeups,
-			metrics.Duration(r.CascadeLat.Quantile(0.99)),
-			r.ConflateDrops)
+	us := func(t time.Duration) float64 { return float64(t) / float64(time.Microsecond) }
+	columns := []field[WatchCell]{
+		key("series", "series", "%s", func(c WatchCell) any { return c.Series() }),
+		key("watchers", "watchers", "%d", func(c WatchCell) any { return c.Watchers }),
+		key("publish_every_us", "pub every us", "%.1f", func(WatchCell) any { return us(f.PublishEvery) }),
+		key("poll_every_us", "poll every us", "%.1f", func(c WatchCell) any { return us(c.PollEvery) }),
+		metric("published", "published", "%d", func(c WatchCell) any { return c.Result.Published }),
+		metric("observed", "observed", "%d", func(c WatchCell) any { return c.Result.Observed }),
+		metric("lat_p50_ns", "lat p50 ns", "%.0f", func(c WatchCell) any { return c.Result.Latency.Quantile(0.5) }),
+		metric("lat_p99_ns", "lat p99 ns", "%.0f", func(c WatchCell) any { return c.Result.Latency.Quantile(0.99) }),
+		metric("lat_max_ns", "lat max ns", "%d", func(c WatchCell) any { return c.Result.Latency.Max() }),
+		metric("lag_p50", "lag p50", "%d", func(c WatchCell) any { return c.Result.LagP50 }),
+		metric("lag_max", "lag max", "%d", func(c WatchCell) any { return c.Result.LagMax }),
+		metric("conflated", "conflated", "%d", func(c WatchCell) any { return c.Result.Conflated }),
+		metric("wakeups", "wakeups", "%d", func(c WatchCell) any { return c.Result.Wakeups }),
+		metric("pub_p50_ns", "pub p50 ns", "%.0f", func(c WatchCell) any { return c.Result.PubOverhead.Quantile(0.5) }),
+		metric("pub_p99_ns", "pub p99 ns", "%.0f", func(c WatchCell) any { return c.Result.PubOverhead.Quantile(0.99) }),
+		metric("cascade_p99_ns", "cascade p99 ns", "%.0f", func(c WatchCell) any { return c.Result.CascadeLat.Quantile(0.99) }),
+		metric("conflate_drops", "drops", "%d", func(c WatchCell) any { return c.Result.ConflateDrops }),
+		metric("flush_p99_ns", "flush p99 ns", "%.0f", func(c WatchCell) any { return c.Result.FlushLat.Quantile(0.99) }),
 	}
-}
-
-// RenderCSV appends machine-readable rows.
-func (d WatchData) RenderCSV(w io.Writer) {
-	// New columns go at the end: CI's smoke grep matches the prefix of
-	// this header, and downstream plotting scripts index by name.
-	fmt.Fprintln(w, "figure,series,watchers,publish_every_us,poll_every_us,published,observed,lat_p50_ns,lat_p99_ns,lat_max_ns,lag_p50,lag_max,conflated,wakeups,pub_p50_ns,pub_p99_ns,cascade_p99_ns,conflate_drops,flush_p99_ns")
-	for _, c := range d.Cells {
-		r := c.Result
-		fmt.Fprintf(w, "%s,%s,%d,%.1f,%.1f,%d,%d,%.0f,%.0f,%d,%d,%d,%d,%d,%.0f,%.0f,%.0f,%d,%.0f\n",
-			d.Figure.ID, c.Series(), c.Watchers,
-			float64(d.Figure.PublishEvery)/float64(time.Microsecond),
-			float64(c.PollEvery)/float64(time.Microsecond),
-			r.Published, r.Observed,
-			r.Latency.Quantile(0.5), r.Latency.Quantile(0.99), r.Latency.Max(),
-			r.LagP50, r.LagMax, r.Conflated, r.Wakeups,
-			r.PubOverhead.Quantile(0.5), r.PubOverhead.Quantile(0.99),
-			r.CascadeLat.Quantile(0.99), r.ConflateDrops, r.FlushLat.Quantile(0.99))
-	}
+	settings := fmt.Sprintf("publish_every=%v value=%dB slow_consumers=%d slow_delay=%v fan=%dx%d duration=%v",
+		f.PublishEvery, f.ValueSize, f.SlowConsumers, f.SlowDelay, f.FanArity, f.FanDepth, f.Duration)
+	return newTable(f.ID, "publish→observe wakeup latency", settings, columns, d.Cells, func(c WatchCell) error { return c.Err })
 }

@@ -89,8 +89,8 @@ func TestWatchFigureRender(t *testing.T) {
 		t.Fatal(err)
 	}
 	var tbl, csv strings.Builder
-	data.RenderTable(&tbl)
-	data.RenderCSV(&csv)
+	data.Table().WriteText(&tbl)
+	data.Table().WriteCSV(&csv)
 	for _, want := range []string{"watch", "watch-flat", "poll-100µs", "poll-1ms", "lat p99", "pub p99", "lag max", "conflated"} {
 		if !strings.Contains(tbl.String(), want) {
 			t.Errorf("table missing %q:\n%s", want, tbl.String())
