@@ -97,8 +97,8 @@
 //	    // once and the watch survives re-creation (fresh incarnation,
 //	    // never resurrected bytes)
 //	for d, err := range mrd.WatchAll(ctx) { ... }       // whole map: a
-//	    // snapshot-delta stream; every event derives from one atomic
-//	    // Snapshot
+//	    // snapshot-delta stream; every event is one atomic cut and
+//	    // copies only the values that changed
 //
 // Caps.Watchable reports whether the construction carries a sequencer
 // (ARC, the (M,N) composition, the map); the other algorithms serve

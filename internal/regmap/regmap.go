@@ -67,7 +67,8 @@
 // — a single linearization point for the whole map (see DESIGN.md §7 for
 // the argument and for why an unvalidated counter gate is unsound).
 // Snapshot executes no RMW instructions and retries only on observed
-// publications.
+// publications. WatchAll runs the same collect against a cache it keeps
+// across events, re-collecting only the shards that published since.
 //
 // # Concurrency contract
 //
@@ -93,11 +94,13 @@
 package regmap
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -909,9 +912,10 @@ type ReadStats struct {
 	// DirRefreshes counts directory re-decodes (a changed directory
 	// observed); the incremental decode parses only the tail entries.
 	DirRefreshes uint64
-	// Snapshots counts completed Snapshot calls; SnapshotRetries counts
-	// shard re-collects forced by concurrently observed publications
-	// (zero at steady state).
+	// Snapshots counts completed validated collects — Snapshot calls
+	// and WatchAll wakes; SnapshotRetries counts shard re-collects
+	// forced by concurrently observed publications (zero at steady
+	// state).
 	Snapshots       uint64
 	SnapshotRetries uint64
 	// Repairs counts corrupt latches this handle cleared by rebasing
@@ -1012,6 +1016,10 @@ type Reader struct {
 	snapshots   uint64
 	snapRetries uint64
 	repairs     uint64
+	// collects counts validated collects started on the handle (Snapshot
+	// and WatchAll wakes); with ops, it tells a WatchAll session whether
+	// anything else advanced its cached handles between events.
+	collects uint64
 }
 
 // NewReader allocates a reader handle (one directory handle per shard;
@@ -1418,59 +1426,159 @@ func (r *Reader) Len() (int, error) {
 // re-collected only when its publish counter is observed to move, so
 // retries are bounded by the publications that actually race the call.
 func (r *Reader) Snapshot() (map[string][]byte, error) {
-	if r.closed {
-		return nil, register.ErrReaderClosed
-	}
-	nsh := len(r.m.shards)
-	parts := make([]map[string][]byte, nsh)
-	epochs := make([]uint64, nsh)
-	pending := make([]int, nsh)
-	for i := range pending {
-		pending[i] = i
+	c := newCollectCache(len(r.m.shards))
+	if err := r.collect(c); err != nil {
+		return nil, err
 	}
 	total := 0
-	for len(pending) > 0 {
-		for _, si := range pending {
-			part, ep, err := r.collectShard(si)
-			if err != nil {
-				return nil, err
-			}
-			parts[si], epochs[si] = part, ep
+	for si := range c.shards {
+		total += len(c.shards[si].vals)
+	}
+	out := make(map[string][]byte, total)
+	for si := range c.shards {
+		for k, cv := range c.shards[si].vals {
+			out[k] = cv.v
 		}
-		// Global verification pass: every shard whose publish counter
-		// still matches its collect was unchanged from its collect
-		// through this pass — so a pass with no movement certifies all
-		// shards simultaneously.
-		pending = pending[:0]
+	}
+	return out, nil
+}
+
+// collectCache is the state one validated whole-map collect runs
+// against: per shard, the values its live keys held at the shard's last
+// certified collect. Snapshot collects into an empty cache and returns
+// it; a WatchAll session keeps one across wakes, so each wake
+// re-collects only the shards that published since and copies only the
+// values that changed (DESIGN.md §7.2, §8.4).
+type collectCache struct {
+	shards  []shardCache
+	pending []int
+	// prior, when non-nil, records each key the cache changed since the
+	// last delivery — created, rewritten with different bytes, deleted —
+	// with its state at that delivery (captured on the key's first change
+	// after it). WatchAll derives each delta from it; Snapshot leaves it
+	// nil.
+	prior map[string]priorVal
+}
+
+// shardCache is one shard's part of a collectCache.
+type shardCache struct {
+	// vals maps every key live at the shard's last collect to its value
+	// and the handle it was read through.
+	vals map[string]cachedVal
+	// at is the pubStarted value that certified the last collect; valid
+	// reports that one happened. While pubStarted still equals at, no
+	// publication has begun on the shard since, so vals is still its
+	// exact state.
+	at    uint64
+	valid bool
+	// recheck makes the next collect byte-compare every key instead of
+	// trusting ViewFresh: another operation on the Reader advanced the
+	// cached handles past the values in vals (see WatchAll).
+	recheck bool
+}
+
+// cachedVal is one cached key: the bytes last copied out of its
+// register and the handle that copy was read through. While the key
+// still reads through h and h's ViewFresh reports no change, v is
+// current.
+type cachedVal struct {
+	h *arc.Reader
+	v []byte
+}
+
+// priorVal is a key's state at the last delivery: its bytes, whether it
+// was live, and the shard it lives on.
+type priorVal struct {
+	v    []byte
+	live bool
+	si   int
+}
+
+func newCollectCache(shards int) *collectCache {
+	return &collectCache{shards: make([]shardCache, shards)}
+}
+
+// note records key's state at the last delivery before the collect
+// changes it (first change only).
+func (c *collectCache) note(si int, key string, old cachedVal, live bool) {
+	if c.prior == nil {
+		return
+	}
+	if _, ok := c.prior[key]; !ok {
+		c.prior[key] = priorVal{v: old.v, live: live, si: si}
+	}
+}
+
+// delta reports the difference between the state at the last delivery
+// and the cache — the keys whose bytes differ and the keys that
+// disappeared — and makes the cache the new delivered state. Byte-
+// identical rewrites and changes reverted before delivery drop out.
+func (c *collectCache) delta() Delta {
+	d := Delta{Values: make(map[string][]byte, len(c.prior))}
+	for key, p := range c.prior {
+		cv, live := c.shards[p.si].vals[key]
+		switch {
+		case live && (!p.live || !bytes.Equal(p.v, cv.v)):
+			d.Values[key] = cv.v
+		case !live && p.live:
+			d.Deleted = append(d.Deleted, key)
+		}
+	}
+	sort.Strings(d.Deleted)
+	c.prior = make(map[string]priorVal)
+	return d
+}
+
+// collect runs one validated whole-map collect into c. Shards whose
+// pubStarted still equals their cached certification are not touched;
+// the others are re-collected under a validated counter window
+// (collectShard). A global verification pass then re-reads every shard's
+// counter — cached shards included — and re-collects those that moved.
+// A pass with no movement certifies every shard's cached part as current
+// at the pass's start: one linearization point for the whole map. Counts
+// once in ReadStats.Snapshots.
+func (r *Reader) collect(c *collectCache) error {
+	if r.closed {
+		return register.ErrReaderClosed
+	}
+	r.collects++
+	c.pending = c.pending[:0]
+	for si, sh := range r.m.shards {
+		if sc := &c.shards[si]; !sc.valid || sh.pubStarted.Load() != sc.at {
+			c.pending = append(c.pending, si)
+		}
+	}
+	for len(c.pending) > 0 {
+		for _, si := range c.pending {
+			if err := r.collectShard(c, si); err != nil {
+				return err
+			}
+		}
+		c.pending = c.pending[:0]
 		for si, sh := range r.m.shards {
-			if sh.pubStarted.Load() != epochs[si] {
-				pending = append(pending, si)
+			if sh.pubStarted.Load() != c.shards[si].at {
+				c.pending = append(c.pending, si)
 				r.snapRetries++
 			}
 		}
 	}
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make(map[string][]byte, total)
-	for _, p := range parts {
-		for k, v := range p {
-			out[k] = v
-		}
-	}
 	r.snapshots++
-	return out, nil
+	return nil
 }
 
-// collectShard performs one validated collect of shard si: a counter
-// window (started == done before, started unchanged after) brackets a
-// full read of the shard's live keys, certifying the part as the shard's
-// exact state at the window's opening. Retries consume observed
-// publications; like a seqlock reader, the collect waits out a publish
-// caught in flight on this shard (the read path proper never does).
-func (r *Reader) collectShard(si int) (map[string][]byte, uint64, error) {
+// collectShard brings shard si's cache up to date under a validated
+// counter window (started == done before, started unchanged after),
+// certifying it as the shard's exact state at the window's opening. A
+// key is copied only when it reads through a new handle or its handle's
+// ViewFresh reports a new publication, and then only if its bytes
+// differ from the cached ones; cached keys gone from the directory are
+// dropped. Retries consume observed publications; like a seqlock
+// reader, the collect waits out a publish caught in flight on this
+// shard (the read path proper never does).
+func (r *Reader) collectShard(c *collectCache, si int) error {
 	sh := r.m.shards[si]
 	rs := &r.shards[si]
+	sc := &c.shards[si]
 	for {
 		started := sh.pubStarted.Load()
 		if started != sh.pubDone.Load() {
@@ -1480,28 +1588,50 @@ func (r *Reader) collectShard(si int) (map[string][]byte, uint64, error) {
 		}
 		if rs.corrupt != nil || !rs.dirRd.Fresh() {
 			if err := r.refresh(si); err != nil {
-				return nil, 0, err
+				return err
 			}
 		}
-		part := make(map[string][]byte, len(rs.table))
+		if sc.vals == nil {
+			sc.vals = make(map[string]cachedVal, len(rs.table))
+		}
 		for key, slot := range rs.table {
 			h := rs.handles[slot]
 			if h == nil {
 				var err error
 				h, err = rs.regs[slot].NewReaderHandle()
 				if err != nil {
-					return nil, 0, fmt.Errorf("regmap: key %q handle: %w", key, err)
+					return fmt.Errorf("regmap: key %q handle: %w", key, err)
 				}
 				rs.handles[slot] = h
 			}
-			v, _, err := h.ViewFresh()
+			v, changed, err := h.ViewFresh()
 			if err != nil {
-				return nil, 0, err
+				return err
 			}
-			part[key] = append([]byte(nil), v...)
+			old, ok := sc.vals[key]
+			if ok && old.h == h && !changed && !sc.recheck {
+				continue
+			}
+			if ok && bytes.Equal(old.v, v) {
+				old.h = h
+				sc.vals[key] = old
+				continue
+			}
+			c.note(si, key, old, ok)
+			sc.vals[key] = cachedVal{h: h, v: append([]byte(nil), v...)}
+		}
+		// Every live key is cached now, so a surplus is deletions.
+		if len(sc.vals) > len(rs.table) {
+			for key, old := range sc.vals {
+				if _, live := rs.table[key]; !live {
+					c.note(si, key, old, true)
+					delete(sc.vals, key)
+				}
+			}
 		}
 		if sh.pubStarted.Load() == started {
-			return part, started, nil
+			sc.at, sc.valid, sc.recheck = started, true, false
+			return nil
 		}
 		r.snapRetries++
 	}

@@ -37,12 +37,10 @@ package regmap
 // incarnation's bytes (no resurrection wakeups).
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"iter"
-	"sort"
 
 	"arcreg/internal/arc"
 	"arcreg/internal/notify"
@@ -264,8 +262,9 @@ func (r *Reader) Watch(ctx context.Context, key string) iter.Seq2[[]byte, error]
 }
 
 // Delta is one WatchAll event: the keys whose values changed since the
-// previous event and the keys that disappeared. Values are copies owned
-// by the caller (Snapshot's ownership rules).
+// previous event and the keys that disappeared. Values are copies the
+// caller may keep; the session compares later collects against them, so
+// treat them as read-only.
 type Delta struct {
 	// Values holds created keys and keys whose bytes changed, with
 	// their new values. On the first event it is the complete snapshot.
@@ -280,21 +279,36 @@ type Delta struct {
 // WatchAll returns an iterator over whole-map changes as a
 // snapshot-delta stream: the first event is a full linearizable
 // Snapshot, every later event the difference between consecutive
-// Snapshots — created/changed keys with their new values, and deleted
-// keys. Between events the watcher parks on the map-level gate; every
-// shard publication wakes it, and collects that observe no byte-level
-// difference are conflated away (no empty events are yielded).
+// certified map states — created/changed keys with their new values,
+// and deleted keys. Between events the watcher parks on the map-level
+// gate; every shard publication wakes it, and collects that observe no
+// byte-level difference are conflated away (no empty events are
+// yielded).
 //
-// Each event is atomic across the whole map (it derives from one
-// linearizable Snapshot), so a consumer applying the deltas in order
-// reconstructs exactly the sequence of map states the snapshots
-// certified. Delivery is at-least-once per publication with
-// latest-value conflation, and WatchAll owns the Reader while it runs.
+// The collect is incremental: the session caches each shard's values
+// and re-collects only the shards that published since their last
+// certified collect, copying only the keys whose register moved, so an
+// event costs O(changed keys) plus one counter load per shard. Each
+// event is still atomic across the whole map (the same validated
+// collect Snapshot runs, with unchanged shards certified from the
+// cache), so a consumer applying the deltas in order reconstructs
+// exactly the sequence of map states the collects certified. Delivery
+// is at-least-once per publication with latest-value conflation.
+//
+// WatchAll owns the Reader while it runs. The loop body may still use
+// the handle (Get, Snapshot, …): a session that finds the handle's
+// operation or collect counters moved between events byte-compares
+// every key it re-collects once, instead of trusting the register
+// freshness those operations consumed.
 func (r *Reader) WatchAll(ctx context.Context) iter.Seq2[Delta, error] {
 	return func(yield func(Delta, error) bool) {
 		nsh := len(r.m.shards)
 		epochs := make([]uint64, nsh)
-		var prev map[string][]byte
+		cache := newCollectCache(nsh)
+		cache.prior = make(map[string]priorVal)
+		// The handle's counters after the session's last collect: if they
+		// moved, something else read through the cached handles.
+		var ops, collects uint64
 		first := true
 		corrupted := false
 		// The whole-map ledger, framed by the sum of the shard
@@ -319,43 +333,50 @@ func (r *Reader) WatchAll(ctx context.Context) iter.Seq2[Delta, error] {
 		}
 		mapSub := mapFan.Subscribe()
 		defer mapSub.Close()
+		moved := func() bool {
+			for i, sh := range r.m.shards {
+				if sh.notify.Epoch() != epochs[i] {
+					return true
+				}
+			}
+			return false
+		}
 		for {
 			if err := ctx.Err(); err != nil {
 				yield(Delta{}, err)
 				return
 			}
 			// Epoch snapshot strictly before the collect: a publication
-			// racing the Snapshot either lands in it or advances an
-			// epoch past this snapshot and forces another round.
+			// racing the collect either lands in it or advances an epoch
+			// past this snapshot and forces another round.
 			var seen uint64
 			for i, sh := range r.m.shards {
 				epochs[i] = sh.notify.Epoch()
 				seen += epochs[i]
 			}
 			ws.NoteSeen(seen)
-			snap, err := r.Snapshot()
+			if r.ops != ops || r.collects != collects {
+				for si := range cache.shards {
+					cache.shards[si].recheck = true
+				}
+			}
+			err := r.collect(cache)
+			ops, collects = r.ops, r.collects
 			if errors.Is(err, ErrShardCorrupt) {
 				// A corrupt shard degrades the stream instead of ending
 				// it (mirroring Watch): deliver the episode once, park,
 				// and retry on the next publication — which is also the
-				// snapshot's repair opportunity. The observed frame stays
-				// put while the episode lasts (that unobservability IS
-				// lag).
+				// collect's repair opportunity. Changes already collected
+				// from healthy shards stay pending in the cache. The
+				// observed frame stays put while the episode lasts (that
+				// unobservability IS lag).
 				if !corrupted {
 					if !yield(Delta{}, err) {
 						return
 					}
 					corrupted = true
 				}
-				err = notify.AwaitStats(ctx, func() bool {
-					for i, sh := range r.m.shards {
-						if sh.notify.Epoch() != epochs[i] {
-							return true
-						}
-					}
-					return false
-				}, ws, mapSub.Gate())
-				if err != nil {
+				if err := notify.AwaitStats(ctx, moved, ws, mapSub.Gate()); err != nil {
 					yield(Delta{}, err)
 					return
 				}
@@ -366,7 +387,7 @@ func (r *Reader) WatchAll(ctx context.Context) iter.Seq2[Delta, error] {
 				return
 			}
 			corrupted = false
-			delta := diffSnapshots(prev, snap)
+			delta := cache.delta()
 			if first || len(delta.Values) > 0 || len(delta.Deleted) > 0 {
 				delta.Full = first
 				r.noteConflate(ws, seen)
@@ -377,41 +398,13 @@ func (r *Reader) WatchAll(ctx context.Context) iter.Seq2[Delta, error] {
 				first = false
 			} else {
 				// Nothing to deliver: the collect proved we are current
-				// as of seen (byte-identical snapshots conflate away).
+				// as of seen (byte-identical rewrites conflate away).
 				r.observe(ws, seen)
 			}
-			prev = snap
-			err = notify.AwaitStats(ctx, func() bool {
-				for i, sh := range r.m.shards {
-					if sh.notify.Epoch() != epochs[i] {
-						return true
-					}
-				}
-				return false
-			}, ws, mapSub.Gate())
-			if err != nil {
+			if err := notify.AwaitStats(ctx, moved, ws, mapSub.Gate()); err != nil {
 				yield(Delta{}, err)
 				return
 			}
 		}
 	}
-}
-
-// diffSnapshots computes the delta from prev to cur. Both maps are
-// Snapshot results (values caller-owned), so entries move into the
-// delta without copying.
-func diffSnapshots(prev, cur map[string][]byte) Delta {
-	d := Delta{Values: make(map[string][]byte)}
-	for k, v := range cur {
-		if pv, ok := prev[k]; !ok || !bytes.Equal(pv, v) {
-			d.Values[k] = v
-		}
-	}
-	for k := range prev {
-		if _, ok := cur[k]; !ok {
-			d.Deleted = append(d.Deleted, k)
-		}
-	}
-	sort.Strings(d.Deleted)
-	return d
 }

@@ -257,7 +257,8 @@ func (r *MapReader) ReadStats() MapReadStats { return r.r.Stats() }
 // MapDelta is one WatchAll event at the byte level: the keys whose
 // values changed since the previous event (the full snapshot on the
 // first one, marked Full) and the keys deleted since then. Values are
-// copies owned by the caller.
+// copies the caller may keep; the watch compares later collects against
+// them, so treat them as read-only.
 type MapDelta = regmap.Delta
 
 // Watch returns an iterator over one key's publications: the value
@@ -278,12 +279,16 @@ func (r *MapReader) Watch(ctx context.Context, key string) iter.Seq2[[]byte, err
 // WatchAll returns an iterator over whole-map changes as a
 // snapshot-delta stream: the first event is a full linearizable
 // Snapshot (MapDelta.Full), every later event the keys that changed
-// and the keys that disappeared between consecutive snapshots. Each
-// event derives from one atomic Snapshot, so applying the deltas in
-// order reconstructs exactly the certified sequence of map states.
-// Between events the watcher parks on the map-level gate. WatchAll
-// owns the handle while it runs; like Snapshot, each collect counts as
-// a Get of every live key.
+// and the keys that disappeared between consecutive certified map
+// states. Each event is atomic across the whole map, so applying the
+// deltas in order reconstructs exactly the certified sequence of map
+// states. An event costs O(changed keys): the watch re-collects only
+// the shards that published and copies only the values that changed.
+// Between events the watcher parks on the map-level gate. A corrupt
+// shard yields one ErrShardCorrupt event per episode and the stream
+// resumes after repair. WatchAll owns the handle while it runs; its
+// collects read through the handle's per-key registers, so views
+// returned by Get may be invalidated.
 func (r *MapReader) WatchAll(ctx context.Context) iter.Seq2[MapDelta, error] {
 	return r.r.WatchAll(ctx)
 }
@@ -497,7 +502,9 @@ func (r *MapOfReader[T]) Values(key string, every time.Duration) iter.Seq2[T, er
 // when iteration starts, then every change, parking between changes.
 // A deletion yields (zero, ErrKeyNotFound) once and the watch
 // continues — a later re-creation yields the new incarnation's value;
-// break on the miss if deletion should end the subscription. Delivery
+// break on the miss if deletion should end the subscription. A corrupt
+// shard likewise yields (zero, ErrShardCorrupt) once per episode and the
+// watch resumes after repair. Delivery
 // is at-least-once with latest-value conflation (a slow consumer sees
 // fewer, newer values and never blocks the writer). The iterator ends
 // on consumer break, ctx done (yielding ctx's error), a decode error,
@@ -507,7 +514,7 @@ func (r *MapOfReader[T]) Watch(ctx context.Context, key string) iter.Seq2[T, err
 		var zero T
 		for raw, err := range r.r.Watch(ctx, key) {
 			if err != nil {
-				if errors.Is(err, ErrKeyNotFound) {
+				if errors.Is(err, ErrKeyNotFound) || errors.Is(err, ErrShardCorrupt) {
 					if !yield(zero, err) {
 						return
 					}
@@ -541,13 +548,20 @@ type MapDeltaOf[T any] struct {
 // WatchAll returns an iterator over whole-map changes as a decoded
 // snapshot-delta stream — the typed counterpart of MapReader.WatchAll
 // (same atomicity: every event derives from one linearizable
-// Snapshot). The iterator ends on consumer break, ctx done (yielding
-// ctx's error), a decode error, or a terminal register error. WatchAll
-// owns the handle while it runs.
+// Snapshot). A corrupt shard yields one ErrShardCorrupt event per
+// episode and the stream resumes after repair. The iterator ends on
+// consumer break, ctx done (yielding ctx's error), a decode error, or a
+// terminal register error. WatchAll owns the handle while it runs.
 func (r *MapOfReader[T]) WatchAll(ctx context.Context) iter.Seq2[MapDeltaOf[T], error] {
 	return func(yield func(MapDeltaOf[T], error) bool) {
 		for d, err := range r.r.WatchAll(ctx) {
 			if err != nil {
+				if errors.Is(err, ErrShardCorrupt) {
+					if !yield(MapDeltaOf[T]{}, err) {
+						return
+					}
+					continue
+				}
 				yield(MapDeltaOf[T]{}, err)
 				return
 			}

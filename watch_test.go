@@ -584,3 +584,93 @@ func BenchmarkSetWithWatcherParked(b *testing.B) {
 	<-done
 	b.ReportMetric(float64(seen.Load())/float64(b.N), "wakeups/op")
 }
+
+// TestMapWatchTypedAcrossCorruption: the typed Watch and WatchAll treat
+// a corrupt shard as an episode, like their byte-level counterparts —
+// one ErrShardCorrupt event, then the stream continues, and a Set made
+// before the repair arrives once a Compact republishes the shard.
+func TestMapWatchTypedAcrossCorruption(t *testing.T) {
+	m, err := arcreg.NewMap[int](arcreg.WithReaders(2), arcreg.WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Set("a", 1); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	type ev struct {
+		v   int
+		d   arcreg.MapDeltaOf[int]
+		err error
+	}
+	start := func(watch func(*arcreg.MapOfReader[int], chan<- ev)) <-chan ev {
+		rd, err := m.NewReader()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch := make(chan ev, 16)
+		go func() {
+			defer close(ch)
+			defer rd.Close()
+			watch(rd, ch)
+		}()
+		return ch
+	}
+	key := start(func(rd *arcreg.MapOfReader[int], ch chan<- ev) {
+		for v, err := range rd.Watch(ctx, "a") {
+			ch <- ev{v: v, err: err}
+		}
+	})
+	all := start(func(rd *arcreg.MapOfReader[int], ch chan<- ev) {
+		for d, err := range rd.WatchAll(ctx) {
+			ch <- ev{d: d, err: err}
+		}
+	})
+	defer func() {
+		cancel()
+		for range key {
+		}
+		for range all {
+		}
+	}()
+	next := func(ch <-chan ev, what string) ev {
+		t.Helper()
+		select {
+		case e, ok := <-ch:
+			if !ok {
+				t.Fatalf("%s ended early", what)
+			}
+			return e
+		case <-time.After(10 * time.Second):
+			t.Fatalf("no %s event within 10s", what)
+		}
+		panic("unreachable")
+	}
+	if e := next(key, "Watch"); e.err != nil || e.v != 1 {
+		t.Fatalf("Watch initial event = %+v", e)
+	}
+	if e := next(all, "WatchAll"); e.err != nil || !e.d.Full || e.d.Values["a"] != 1 {
+		t.Fatalf("WatchAll initial event = %+v", e)
+	}
+	if err := arcreg.InjectShardCorruption(m, "a"); err != nil {
+		t.Fatal(err)
+	}
+	if e := next(key, "Watch"); !errors.Is(e.err, arcreg.ErrShardCorrupt) {
+		t.Fatalf("Watch corruption event = %+v, want ErrShardCorrupt", e)
+	}
+	if e := next(all, "WatchAll"); !errors.Is(e.err, arcreg.ErrShardCorrupt) {
+		t.Fatalf("WatchAll corruption event = %+v, want ErrShardCorrupt", e)
+	}
+	if err := m.Set("a", 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if e := next(key, "Watch"); e.err != nil || e.v != 2 {
+		t.Fatalf("Watch post-repair event = %+v, want 2", e)
+	}
+	if e := next(all, "WatchAll"); e.err != nil || e.d.Full || e.d.Values["a"] != 2 {
+		t.Fatalf("WatchAll post-repair event = %+v, want {a:2}", e)
+	}
+}
